@@ -682,8 +682,6 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    scale = args.scale
-    sampling = args.sampling
     cache_dir = None if args.no_cache else (args.cache_dir or CACHE_DIR)
     resilience = ResilienceConfig(
         timeout=args.timeout,
@@ -691,13 +689,20 @@ def main(argv=None) -> int:
         max_failures=args.max_failures,
         fail_fast=args.fail_fast,
     )
-    runner = Runner(
+    with Runner(
         jobs=args.jobs,
         cache_dir=cache_dir,
         resilience=resilience,
         window_jobs=args.window_jobs,
         backend=args.backend,
-    )
+    ) as runner:
+        return sweep(args, runner, cache_dir)
+
+
+def sweep(args, runner: Runner, cache_dir: str | None) -> int:
+    """Every figure and table through ``runner``; returns the exit code."""
+    scale = args.scale
+    sampling = args.sampling
     checkpoint = SweepCheckpoint(
         cache_dir,
         key={

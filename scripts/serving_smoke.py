@@ -57,8 +57,8 @@ def canonical_sha256(result: dict) -> str:
 
 
 def sweep(cache_dir: str | None, jobs: int) -> tuple[dict, Runner]:
-    runner = Runner(jobs=jobs, cache_dir=cache_dir)
-    results = run_serving_batch(REQUESTS, runner)
+    with Runner(jobs=jobs, cache_dir=cache_dir) as runner:
+        results = run_serving_batch(REQUESTS, runner)
     hashes = {
         f"{request.isa}/{request.policy}": canonical_sha256(results[request])
         for request in REQUESTS

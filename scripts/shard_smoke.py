@@ -86,12 +86,12 @@ def main() -> int:
         for backend in ("object", "flat"):
             for window_jobs in (1, 2):
                 cache = os.path.join(scratch, f"{backend}_{window_jobs}")
-                runner = Runner(
+                with Runner(
                     cache_dir=cache,
                     window_jobs=window_jobs,
                     backend=backend,
-                )
-                result = runner.run_batch([REQUEST])[REQUEST]
+                ) as runner:
+                    result = runner.run_batch([REQUEST])[REQUEST]
                 hashes[(backend, window_jobs)] = canonical_sha256(result)
                 if window_jobs == 2:
                     shards = runner.stats.window_shards
@@ -128,12 +128,12 @@ def main() -> int:
         # The whole matrix shares one cache slot: an object-backend
         # sharded runner pointed at the flat engine's serial cache must
         # hit it, not resimulate.
-        warm = Runner(
+        with Runner(
             cache_dir=os.path.join(scratch, "flat_1"),
             window_jobs=2,
             backend="object",
-        )
-        warm.run_batch([REQUEST])
+        ) as warm:
+            warm.run_batch([REQUEST])
         if warm.stats.simulated != 0 or warm.stats.disk_hits != 1:
             print(
                 "FAIL: object-backend sharded runner missed the flat "

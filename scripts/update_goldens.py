@@ -100,6 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         if changed and report:
             print(report)
             print()
+    runner.close()
     stats = runner.stats
     print(
         f"runner: {stats.simulated} simulated, {stats.memo_hits} memoized, "

@@ -21,7 +21,7 @@ retried incidents:
   are *not* retried: rerunning a deterministic simulation cannot fix
   it.
 * **Pool-break recovery and graceful degradation** — a dead worker
-  breaks the whole pool; the executor restarts it and resubmits the
+  breaks the whole pool; the executor replaces it and resubmits the
   in-flight cohort.  After ``pool_break_limit`` consecutive breaks with
   no completed run in between, it stops trusting process pools and
   degrades to serial in-process execution (no preemptive timeouts, but
@@ -36,6 +36,13 @@ retried incidents:
   completable, and only then raises :class:`SweepFailure`; with
   ``fail_fast`` (or once ``max_failures`` points have failed) it stops
   scheduling immediately and marks the remainder ``aborted``.
+
+Pooled execution borrows its processes from a :class:`WorkerPool`,
+which outlives the batch: a :class:`~repro.analysis.runner.Runner`
+keeps one for its whole life, so workers are forked once and keep their
+trace memos across batches.  A kill (timeout, abort) or a break
+discards the pool, and the next submit — in this batch or a later one —
+forks the replacement.
 
 Fault paths are exercised deterministically by
 :mod:`repro.verify.faultinject`; see ``docs/RESILIENCE.md`` for the
@@ -220,6 +227,55 @@ class _Task:
         self.not_before = 0.0
 
 
+class WorkerPool:
+    """A lazily forked process pool that outlives the batches it serves.
+
+    ``get()`` forks ``jobs`` workers on first use and hands the same pool
+    out until ``discard()`` kills it (after a timeout or a break) or
+    ``close()`` shuts it down; either way the next ``get()`` forks a
+    replacement.  ``starts`` counts the forks, replacements included.
+    Workers see the parent's module state as it was at the fork.
+    """
+
+    def __init__(self, jobs: int):
+        self.jobs = max(1, int(jobs))
+        self.starts = 0
+        self._pool: ProcessPoolExecutor | None = None
+
+    def get(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self.starts += 1
+        return self._pool
+
+    def discard(self) -> None:
+        """Kill every worker and drop the pool, without waiting."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        # Kill first: shutdown alone cannot stop a running task, and a
+        # hung worker would otherwise stall the sweep forever.
+        processes = getattr(pool, "_processes", None) or {}
+        for proc in list(processes.values()):
+            try:
+                proc.kill()
+            except (OSError, AttributeError):
+                pass
+        pool.shutdown(wait=False, cancel_futures=True)
+
+    def close(self) -> None:
+        """Shut the pool down and reap its workers; a no-op without one."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 class ResilientExecutor:
     """Drives a batch of tasks through pools, retries and timeouts.
 
@@ -236,17 +292,32 @@ class ResilientExecutor:
     fingerprint_of:
         Maps a request to its cache fingerprint (used for fault
         injection and deterministic backoff jitter).
+    pool:
+        The :class:`WorkerPool` pooled execution borrows; required when
+        ``jobs > 1``.  The executor never closes it: a kill or a break
+        discards it, and whoever owns it closes it.
     """
 
-    def __init__(self, config: ResilienceConfig, jobs: int, worker, fingerprint_of):
+    def __init__(
+        self,
+        config: ResilienceConfig,
+        jobs: int,
+        worker,
+        fingerprint_of,
+        pool: WorkerPool | None = None,
+    ):
         self.config = config
         self.jobs = max(1, int(jobs))
+        if self.jobs > 1 and pool is None:
+            raise ValueError("pooled execution (jobs > 1) needs a WorkerPool")
         self.worker = worker
         self.fingerprint_of = fingerprint_of
+        self.pool = pool
         # Counters the runner folds into its provenance stats.
         self.retries = 0
         self.timeouts = 0
         self.pool_breaks = 0
+        self.pool_starts = 0
         self.degraded = 0
         self.failed = 0
         self.aborted = False
@@ -344,33 +415,19 @@ class ResilientExecutor:
     # ----- pooled execution -------------------------------------------------
 
     def _run_pooled(self, tasks, trace_dir, outcomes, on_success):
-        """Fan out over a process pool; returns tasks left for serial.
+        """Fan out over the borrowed pool; returns tasks left for serial.
 
         Returning a non-empty list means the executor degraded; an
-        aborted batch returns ``[]`` with ``self.aborted`` set.
+        aborted batch returns ``[]`` with ``self.aborted`` set.  At most
+        ``min(jobs, len(tasks))`` tasks are in flight at once.
         """
         config = self.config
         pending: deque[_Task] = deque(tasks)
         waiting: list[_Task] = []   # backing off until task.not_before
         running: dict = {}          # future -> (task, started_at)
         max_workers = min(self.jobs, len(tasks))
-        pool = None
         consecutive_breaks = 0
-
-        def kill_pool():
-            nonlocal pool
-            if pool is None:
-                return
-            # Kill first: shutdown alone cannot stop a running task, and
-            # a hung worker would otherwise stall the sweep forever.
-            processes = getattr(pool, "_processes", None) or {}
-            for proc in list(processes.values()):
-                try:
-                    proc.kill()
-                except (OSError, AttributeError):
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
+        starts = self.pool.starts
 
         try:
             while pending or waiting or running:
@@ -384,10 +441,8 @@ class ResilientExecutor:
                 broke_on_submit = False
                 while pending and len(running) < max_workers:
                     task = pending.popleft()
-                    if pool is None:
-                        pool = ProcessPoolExecutor(max_workers=max_workers)
                     try:
-                        future = pool.submit(
+                        future = self.pool.get().submit(
                             self.worker, self._task_args(task, trace_dir)
                         )
                     except BrokenProcessPool:
@@ -398,7 +453,7 @@ class ResilientExecutor:
 
                 if not running:
                     if broke_on_submit:
-                        kill_pool()
+                        self.pool.discard()
                         self.pool_breaks += 1
                         consecutive_breaks += 1
                         if consecutive_breaks >= config.pool_break_limit:
@@ -447,12 +502,12 @@ class ResilientExecutor:
 
                 if broken or broke_on_submit:
                     # A dead worker poisons every in-flight future; the
-                    # whole cohort restarts on a fresh pool.
+                    # whole cohort restarts on the replacement pool.
                     now = time.monotonic()
                     for task, started in running.values():
                         broken.append((task, now - started))
                     running.clear()
-                    kill_pool()
+                    self.pool.discard()
                     self.pool_breaks += 1
                     consecutive_breaks += 1
                     for task, elapsed in broken:
@@ -484,7 +539,7 @@ class ResilientExecutor:
                             if now - started <= config.timeout
                         ]
                         running.clear()
-                        kill_pool()
+                        self.pool.discard()
                         self.timeouts += len(overdue)
                         for task, elapsed in overdue:
                             retry = self._note_failure(
@@ -513,13 +568,17 @@ class ResilientExecutor:
                         + waiting
                         + [task for (task, _) in running.values()]
                     )
-                    kill_pool()
+                    self.pool.discard()
                     self._mark_aborted(remaining, outcomes)
                     return []
             return []
         finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            if running:
+                # Unwinding with runs in flight (an exception out of
+                # on_success, an interrupt): their workers would stay
+                # busy under the next batch.
+                self.pool.discard()
+            self.pool_starts += self.pool.starts - starts
 
     # ----- serial (and degraded) execution ---------------------------------
 

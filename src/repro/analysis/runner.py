@@ -11,7 +11,7 @@ The runner then
 * **deduplicates** requests: figures 5/6 and table 4 (for example) share
   their conventional-hierarchy round-robin points, which are simulated
   once per process no matter how many figures ask;
-* **fans out** cache-missing runs across a ``ProcessPoolExecutor`` when
+* **fans out** cache-missing runs across one worker pool per runner when
   ``jobs > 1`` — runs are independent and deterministically seeded, so
   parallel and serial execution produce bit-identical results;
 * **persists** results as JSON under a cache directory (the experiment
@@ -21,8 +21,21 @@ The runner then
 
 Trace generation is cached the same way: workload traces are memoized in
 process and, when a cache directory is configured, persisted via
-:class:`repro.tracegen.serialize.TraceCache` so every process of a sweep
-parses each trace once instead of regenerating it per run.
+:class:`repro.tracegen.serialize.TraceCache`, so a trace is generated
+once per sweep and parsed at most once per process.  The runner forks
+its :class:`~repro.analysis.resilience.WorkerPool` lazily, at the first
+batch that needs it, and keeps it until :meth:`Runner.close` (or until
+the runner is garbage-collected), so each worker parses each trace once
+for the runner's whole life rather than once per batch.  A runner whose
+batches are all cache hits forks nothing.
+
+Workers are forked, so they see the parent's module state as it was
+when the runner's pool was forked, or when it was last replaced after a
+timeout kill or a break: a fault plan installed with
+:func:`repro.verify.faultinject.install`, a test double installed over
+``_pool_execute``, a benchmark's wrappers around the layers' entry
+points.  Anything installed later does not reach the workers of a live
+pool; build a new :class:`Runner` after installing it.
 
 All results returned by the runner — serial, parallel, cold or warm
 cache — pass through the same JSON round-trip
@@ -51,6 +64,7 @@ import multiprocessing
 import os
 import time
 import warnings
+import weakref
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import repro
@@ -59,6 +73,7 @@ from repro.analysis.resilience import (
     ResilientExecutor,
     RunOutcome,
     SweepFailure,
+    WorkerPool,
 )
 from repro.verify import faultinject
 from repro.core.fetch import FetchPolicy
@@ -728,14 +743,17 @@ def _execute_request_sharded(
         chunks[shard.index] = json.loads(json.dumps(payload["chunk"]))
         shard_seconds += payload["elapsed"]
 
-    executor = ResilientExecutor(
-        _WINDOW_RESILIENCE,
-        min(request.window_jobs, n_chunks),
-        _window_pool_execute,
-        fingerprint_of=lambda shard: f"{base_fingerprint}/w{shard.index}",
-    )
+    jobs = min(request.window_jobs, n_chunks)
     started = time.perf_counter()
-    outcomes = executor.execute(shards, trace_dir, on_success)
+    with WorkerPool(jobs) as pool:
+        executor = ResilientExecutor(
+            _WINDOW_RESILIENCE,
+            jobs,
+            _window_pool_execute,
+            fingerprint_of=lambda shard: f"{base_fingerprint}/w{shard.index}",
+            pool=pool,
+        )
+        outcomes = executor.execute(shards, trace_dir, on_success)
     if executor.failed or executor.aborted:
         raise SweepFailure(outcomes, total=len(shards))
     _WINDOW_SHARD_LOG.append(
@@ -797,6 +815,7 @@ class RunnerStats:
     retries: int = 0               # attempts re-scheduled after a failure
     timeouts: int = 0              # runs killed for exceeding the deadline
     pool_breaks: int = 0           # process-pool restarts after worker death
+    pool_starts: int = 0           # worker pools forked, replacements included
     degraded: int = 0              # batches that fell back to serial execution
     failed_points: int = 0         # requests that failed permanently
     corrupt_quarantined: int = 0   # cache entries quarantined as corrupt
@@ -820,7 +839,9 @@ class Runner:
     ----------
     jobs:
         Worker processes for cache-missing runs.  ``1`` executes in
-        process; higher values fan out over a ``ProcessPoolExecutor``.
+        process; higher values fan out over the runner's one
+        :class:`~repro.analysis.resilience.WorkerPool`, forked at the
+        first batch that needs it and kept until :meth:`close`.
         Results are bit-identical either way.
     cache_dir:
         Directory for the on-disk result cache (and, under ``traces/``,
@@ -848,6 +869,10 @@ class Runner:
         request's own setting.  Like ``window_jobs``, a pure
         execution-strategy knob: results are bit-identical either way
         and share one cache slot.
+
+    The runner is a context manager: leaving ``with Runner(...)`` (or
+    calling :meth:`close`) shuts its worker pool down; garbage
+    collection does the same for a runner nobody closed.
     """
 
     def __init__(
@@ -889,6 +914,19 @@ class Runner:
         self.store: ResultStore | None = (
             ResultStore(cache_dir, version) if cache_dir else None
         )
+        #: The worker pool every executor this runner builds borrows.
+        self._pool = WorkerPool(self.jobs)
+        weakref.finalize(self, self._pool.close)
+
+    def close(self) -> None:
+        """Shut the worker pool down; a later batch forks a new one."""
+        self._pool.close()
+
+    def __enter__(self) -> Runner:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ----- cache plumbing ---------------------------------------------------
 
@@ -1035,9 +1073,7 @@ class Runner:
                     payload.get("attempt", 0),
                 )
 
-            executor = ResilientExecutor(
-                self.resilience,
-                self.jobs,
+            executor = self.executor(
                 _pool_execute,
                 fingerprint_of=lambda request: request.fingerprint(version),
             )
@@ -1053,17 +1089,32 @@ class Runner:
                     event["chunks"] for event in events
                 )
             self.stats.sim_seconds += time.perf_counter() - started
-            self.stats.retries += executor.retries
-            self.stats.timeouts += executor.timeouts
-            self.stats.pool_breaks += executor.pool_breaks
-            self.stats.degraded += executor.degraded
-            self.stats.failed_points += executor.failed
+            self.record_execution(executor)
             for outcome in outcomes:
                 self.outcomes[outcome.request] = outcome
             if executor.failed or executor.aborted:
                 raise SweepFailure(outcomes, total=len(todo))
 
         return {request: self._memo[request] for request in unique}
+
+    def executor(self, worker, fingerprint_of) -> ResilientExecutor:
+        """An executor on this runner's resilience policy and pool."""
+        return ResilientExecutor(
+            self.resilience,
+            self.jobs,
+            worker,
+            fingerprint_of,
+            pool=self._pool,
+        )
+
+    def record_execution(self, executor: ResilientExecutor) -> None:
+        """Fold a finished executor's counters into ``stats``."""
+        self.stats.retries += executor.retries
+        self.stats.timeouts += executor.timeouts
+        self.stats.pool_breaks += executor.pool_breaks
+        self.stats.pool_starts += executor.pool_starts
+        self.stats.degraded += executor.degraded
+        self.stats.failed_points += executor.failed
 
     # ----- derived artifacts ------------------------------------------------
 

@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from repro.analysis.reporting import format_table
-from repro.analysis.resilience import ResilientExecutor, SweepFailure
+from repro.analysis.resilience import SweepFailure
 from repro.analysis.runner import RESULT_FORMAT, Runner, code_version, workload_traces
 from repro.serving.admission import ADMISSION_POLICIES, AdmissionController
 from repro.serving.metering import meter_result
@@ -347,9 +347,7 @@ def run_serving_batch(
                 if not stored:
                     runner.stats.cache_write_errors += 1
 
-        executor = ResilientExecutor(
-            runner.resilience,
-            runner.jobs,
+        executor = runner.executor(
             serving_pool_execute,
             fingerprint_of=lambda request: request.fingerprint(
                 version, serving_version
@@ -357,11 +355,7 @@ def run_serving_batch(
         )
         outcomes = executor.execute(todo, runner.trace_dir, on_success)
         runner.stats.sim_seconds += time.perf_counter() - started
-        runner.stats.retries += executor.retries
-        runner.stats.timeouts += executor.timeouts
-        runner.stats.pool_breaks += executor.pool_breaks
-        runner.stats.degraded += executor.degraded
-        runner.stats.failed_points += executor.failed
+        runner.record_execution(executor)
         if executor.failed or executor.aborted:
             raise SweepFailure(outcomes, total=len(todo))
 

@@ -17,6 +17,7 @@ from repro.analysis.resilience import (
     ResilienceConfig,
     ResilientExecutor,
     SweepFailure,
+    WorkerPool,
     backoff_delay,
     is_transient,
 )
@@ -123,10 +124,13 @@ def _bad_prefix_worker(args):
 
 def run_executor(worker, requests, config, jobs=1):
     collected = {}
-    executor = ResilientExecutor(config, jobs, worker, fingerprint_of=str)
-    outcomes = executor.execute(
-        list(requests), None, lambda request, payload: collected.update({request: payload})
-    )
+    with WorkerPool(jobs) as pool:
+        executor = ResilientExecutor(
+            config, jobs, worker, fingerprint_of=str, pool=pool
+        )
+        outcomes = executor.execute(
+            list(requests), None, lambda request, payload: collected.update({request: payload})
+        )
     return executor, {o.request: o for o in outcomes}, collected
 
 
@@ -559,6 +563,73 @@ class TestRunnerResilience:
         runner.run(tiny())
         assert runner.stats.retries == 0
         assert runner.outcomes[tiny()].attempts == 1
+
+
+class TestReplacedPoolCarriesOver:
+    """A pool replaced after a break or a kill serves later batches."""
+
+    BATCHES = (
+        (tiny(), tiny(isa="mom")),
+        (tiny(n_threads=4), tiny(isa="mom", n_threads=4)),
+    )
+
+    def serial(self) -> dict:
+        return Runner().run_batch(
+            [request for batch in self.BATCHES for request in batch]
+        )
+
+    def test_after_a_pool_break(self, tmp_path):
+        reference = self.serial()
+        # Installed before the runner is built: its workers inherit it.
+        # Attempt 0 of every point crashes its worker, in both batches.
+        faultinject.install(FaultPlan(crash_fraction=1.0))
+        results = {}
+        with Runner(
+            cache_dir=str(tmp_path), jobs=2,
+            resilience=fast(pool_break_limit=10),
+        ) as runner:
+            for batch in self.BATCHES:
+                results.update(runner.run_batch(list(batch)))
+        stats = runner.stats
+        assert stats.pool_breaks >= 2
+        assert stats.degraded == 0
+        # Only replacements were forked after the first pool: no batch
+        # started one of its own.
+        assert stats.pool_starts == stats.pool_breaks + 1
+        assert results == reference
+
+    def test_after_a_timeout_kill(self, tmp_path):
+        reference = self.serial()
+        first, second = self.BATCHES
+        # A plan under which both points of the first batch hang and
+        # neither point of the second does.
+        plan = next(
+            plan
+            for plan in (
+                FaultPlan(seed=seed, hang_fraction=0.5, hang_seconds=60.0)
+                for seed in range(1000)
+            )
+            if all(
+                plan.execution_fault(request.fingerprint(), 0) == "hang"
+                for request in first
+            )
+            and not any(
+                plan.execution_fault(request.fingerprint(), 0)
+                for request in second
+            )
+        )
+        faultinject.install(plan)
+        with Runner(
+            cache_dir=str(tmp_path), jobs=2, resilience=fast(timeout=3.0),
+        ) as runner:
+            results = runner.run_batch(list(first))
+            assert runner.stats.timeouts >= 1
+            starts = runner.stats.pool_starts
+            assert starts >= 2  # the kill replaced the first pool
+            results.update(runner.run_batch(list(second)))
+        assert runner.stats.pool_starts == starts
+        assert runner.stats.pool_breaks == 0
+        assert results == reference
 
 
 class TestWindowShardResilience:

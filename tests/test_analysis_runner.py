@@ -1,12 +1,16 @@
 """The experiment run engine: fingerprints, caching, dedup, parallelism."""
 
 import dataclasses
+import gc
 import json
+import multiprocessing
 import os
+from collections import Counter
 
 import pytest
 
 from repro.analysis.runner import (
+    ResultStore,
     RunRequest,
     Runner,
     code_version,
@@ -18,6 +22,8 @@ from repro.analysis.runner import (
 from repro.core.fetch import FetchPolicy
 from repro.memory.hierarchy import ConventionalHierarchy
 from repro.memory.perfect import PerfectMemory
+from repro.tracegen import serialize
+from repro.workloads.mediabench import build_workload_traces
 
 #: Small enough for sub-second runs, large enough that every program
 #: contributes instructions.
@@ -265,6 +271,91 @@ class TestRunnerParallel:
         warm = warm_runner.run_batch(batch)
         assert warm_runner.stats.simulated == 0
         assert warm == cold
+
+
+class TestRunnerPool:
+    """One worker pool per runner: forked once, kept across batches."""
+
+    BATCHES = (
+        (tiny(), tiny(isa="mom")),
+        (tiny(memory="perfect"), tiny(isa="mom", memory="perfect")),
+    )
+
+    def test_one_pool_serves_consecutive_batches(self, tmp_path, monkeypatch):
+        cache_dir = str(tmp_path / "cache")
+        # Trace files on disk first, so the workers parse them rather
+        # than generate them.
+        trace_dir = ResultStore(cache_dir).trace_dir
+        for isa in ("mmx", "mom"):
+            build_workload_traces(
+                isa, scale=SCALE, cache=serialize.TraceCache(trace_dir)
+            )
+        log = tmp_path / "loads.log"
+        real_load = serialize.load_trace
+
+        def counting_load(path):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {os.path.basename(path)}\n")
+            return real_load(path)
+
+        # Installed before the runner is built: its workers inherit it.
+        monkeypatch.setattr(serialize, "load_trace", counting_load)
+        pooled = {}
+        with Runner(jobs=2, cache_dir=cache_dir) as runner:
+            for batch in self.BATCHES:
+                pooled.update(runner.run_batch(list(batch)))
+        assert runner.stats.simulated == 4
+        assert runner.stats.pool_starts == 1
+
+        loads = Counter(log.read_text().splitlines())
+        assert loads, "no worker parsed a trace: the counter never ran"
+        assert max(loads.values()) == 1, "a worker parsed a trace twice"
+        workers = {line.split()[0] for line in loads}
+        assert str(os.getpid()) not in workers
+        assert len(workers) <= 2, "the second batch ran on new workers"
+
+        serial = Runner().run_batch(
+            [request for batch in self.BATCHES for request in batch]
+        )
+        assert pooled == serial
+
+    def test_cached_replay_forks_nothing(self, tmp_path):
+        batch = list(self.BATCHES[0])
+        with Runner(jobs=2, cache_dir=str(tmp_path)) as cold:
+            cold.run_batch(batch)
+        children = set(multiprocessing.active_children())
+        with Runner(jobs=2, cache_dir=str(tmp_path)) as warm:
+            warm.run_batch(batch)
+            assert set(multiprocessing.active_children()) == children
+        assert warm.stats.disk_hits == 2
+        assert warm.stats.simulated == 0
+        assert warm.stats.pool_starts == 0
+
+    def test_close_leaves_no_live_worker(self):
+        children = set(multiprocessing.active_children())
+        runner = Runner(jobs=2)
+        runner.run_batch(list(self.BATCHES[0]))
+        assert set(multiprocessing.active_children()) > children
+        runner.close()
+        assert set(multiprocessing.active_children()) == children
+        runner.close()  # a second close is a no-op
+        assert runner.stats.pool_starts == 1
+
+    def test_with_block_closes_the_pool(self):
+        children = set(multiprocessing.active_children())
+        with Runner(jobs=2) as runner:
+            runner.run_batch(list(self.BATCHES[0]))
+            assert set(multiprocessing.active_children()) > children
+        assert set(multiprocessing.active_children()) == children
+
+    def test_garbage_collection_releases_the_pool(self):
+        children = set(multiprocessing.active_children())
+        runner = Runner(jobs=2)
+        runner.run_batch(list(self.BATCHES[0]))
+        assert set(multiprocessing.active_children()) > children
+        del runner
+        gc.collect()
+        assert set(multiprocessing.active_children()) == children
 
 
 class TestRunnerStats:
