@@ -14,6 +14,17 @@ metric leaves its band — same verdict the test suite gives, usable from
 a shell loop or CI without pytest).  ``--experiments`` narrows the set;
 ``--jobs`` fans cache-missing simulations out over worker processes.
 
+``--bitident NAME...`` instead records bit-exact pins in
+``tests/golden/bitident.json``'s ``runs`` section: each name is
+``isa/<N>T/memory/policy`` (for example ``mom/4T/conventional/ocount``)
+and is simulated at the file's scale, then stored with its canonical
+``RunResult`` hash, headline counters and pinned-version fingerprint.
+Only the named entries are written.  Record a pin on the tree *before*
+an optimization of the core, so the pin proves the optimization exact:
+
+    PYTHONPATH=src python scripts/update_goldens.py \
+        --bitident mom/4T/conventional/ocount
+
 The goldens are measurements, not aspirations: the script records what
 the current tree produces.  Review the printed paper-vs-measured lines
 before committing a regeneration — a golden that drifts away from the
@@ -23,8 +34,10 @@ paper's targets is a modelling regression even when every test passes.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import re
 import sys
 
 from repro.analysis.goldens import (
@@ -35,10 +48,62 @@ from repro.analysis.goldens import (
     compare_metrics,
     golden_path,
 )
-from repro.analysis.runner import Runner
+from repro.analysis.runner import (
+    RunRequest,
+    Runner,
+    execute_request,
+    result_to_dict,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_GOLDEN_DIR = os.path.join(REPO_ROOT, "tests", "golden")
+BITIDENT_NAME = re.compile(r"^(mmx|mom)/(\d+)T/(\w+)/(\w+)$")
+
+
+def canonical_sha256(result) -> str:
+    """The hash ``tests/test_obs_bitident.py`` pins a result by."""
+    blob = json.dumps(
+        result_to_dict(result), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def record_bitident(names: list[str], golden_dir: str) -> int:
+    """Simulate and write the named full-detail bit-identity pins."""
+    path = os.path.join(golden_dir, "bitident.json")
+    with open(path) as handle:
+        document = json.load(handle)
+    for name in names:
+        match = BITIDENT_NAME.match(name)
+        if match is None:
+            print(f"error: {name!r} is not of the form isa/<N>T/memory/policy")
+            return 2
+        isa, threads, memory, policy = match.groups()
+        request = RunRequest(
+            isa=isa, n_threads=int(threads), memory=memory,
+            fetch_policy=policy, scale=document["scale"],
+        )
+        result = execute_request(request)
+        document["runs"][name] = {
+            "request": {
+                "isa": isa, "n_threads": int(threads), "memory": memory,
+                "fetch_policy": policy, "scale": document["scale"],
+                "sampling": None,
+            },
+            "fingerprint_pinned": request.fingerprint(
+                document["pinned_version"]
+            ),
+            "result_sha256": canonical_sha256(result),
+            "cycles": result.cycles,
+            "committed_instructions": result.committed_instructions,
+            "committed_equivalent": result.committed_equivalent,
+        }
+        print(f"pinned {name}: {result.cycles} cycles, "
+              f"{result.committed_instructions} committed")
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,7 +129,14 @@ def main(argv: list[str] | None = None) -> int:
         "--check", action="store_true",
         help="recompute and diff against the existing goldens; write nothing",
     )
+    parser.add_argument(
+        "--bitident", nargs="+", metavar="NAME",
+        help="record these isa/<N>T/memory/policy bit-identity pins "
+        "instead of the golden metrics",
+    )
     args = parser.parse_args(argv)
+    if args.bitident:
+        return record_bitident(args.bitident, args.golden_dir)
 
     runner = Runner(jobs=args.jobs)
     status = 0

@@ -57,8 +57,8 @@ from repro.tracegen.program import Trace
 #: table cache: id(trace) -> (trace, ops, pcs, dsts, srcs, addrs,
 #: strides, weights, takens, branch_flags, simd_flags).  Entries hold
 #: the trace itself, so a live table's id() can never be reused by a
-#: different trace; FIFO-bounded like ``smt._FF_PLANS`` so huge traces
-#: from many scales do not accumulate.
+#: different trace; FIFO-bounded so huge traces from many scales do
+#: not accumulate.
 _TRACE_TABLES: dict[int, tuple] = {}
 _TRACE_TABLE_LIMIT = 64
 

@@ -66,7 +66,16 @@ class IssueQueue:
         self.ready.append(entry)
 
     def pop_ready(self):
-        """Oldest ready instruction, or ``None``; frees the queue slot."""
+        """Oldest ready instruction, or ``None``; frees the queue slot.
+
+        Reference-only squash semantics: entries marked ``squashed`` (by
+        :meth:`GraduationWindow.flush_thread
+        <repro.core.rob.GraduationWindow.flush_thread>`) are skipped.
+        The SMT core never squashes — a mispredicted branch blocks fetch
+        until it resolves — so its inlined issue stage has no such test
+        and its entries carry no ``squashed`` flag (docs/MODEL.md,
+        "Performance & reproducibility").
+        """
         while self.ready:
             entry = self.ready.popleft()
             if entry.squashed:

@@ -61,7 +61,13 @@ class GraduationWindow:
         return len(self._fifos[thread])
 
     def flush_thread(self, thread: int, now: int = 0) -> int:
-        """Per-thread flush; returns how many entries were squashed."""
+        """Per-thread flush; returns how many entries were squashed.
+
+        Reference-only squash semantics for drivers and tests whose
+        entries carry a ``squashed`` flag: the SMT core never flushes
+        (its trace-driven squash model blocks fetch at a mispredicted
+        branch instead), and its ``InFlight`` entries have no such flag.
+        """
         fifo = self._fifos[thread]
         squashed = len(fifo)
         for entry in fifo:

@@ -21,16 +21,19 @@ cycle are visible one cycle later:
 
 The stage bodies are written for speed: opcode metadata is read from
 flat tuples indexed by the integer opcode, queue/window bookkeeping is
-inlined (with the sanitizer hooks preserved as single ``is not None``
-tests), and per-cycle structures are preallocated.  Semantics are
-bit-identical to the straightforward formulation — the experiment
-runner's cache fingerprints rely on that.
+inlined (with the sanitizer and observer hooks behind one per-cycle
+test), fetch groups come from a per-trace memoized plan, and per-cycle
+structures are preallocated.  Semantics are bit-identical to the
+straightforward formulation — the experiment runner's cache
+fingerprints rely on that; docs/MODEL.md ("Performance &
+reproducibility") lists the model invariants the fast path relies on.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import asdict
 
 from repro.core.branch import GsharePredictor
@@ -48,6 +51,8 @@ from repro.tracegen.program import Trace
 from repro.workloads.multiprog import MultiprogramScheduler
 
 _STATE_WAITING = 0
+#: Waiting, and a mispredicted branch: its completion unblocks fetch.
+_STATE_MISPREDICTED = 1
 _STATE_DONE = 2
 
 _CLASS_SHIFT = 8          # matches repro.isa.registers._CLASS_SHIFT
@@ -56,7 +61,7 @@ _CLASS_SHIFT = 8          # matches repro.isa.registers._CLASS_SHIFT
 # ``(class << _CLASS_SHIFT) | index``.  NO_REG is -1, which Python
 # aliases onto the last slot — (ACC, index 255) — but no architected
 # register can occupy it (every logical count is far below 256), and
-# writes are guarded by ``dst != NO_REG``, so that slot stays None.
+# writes are guarded by ``dst != NO_REG``, so that slot is never written.
 _RENAME_SLOTS = len(RegisterClass) << _CLASS_SHIFT
 
 # MMX packed loads/stores are single 64-bit references with no stream
@@ -82,6 +87,99 @@ _IS_STREAM = tuple(info.is_stream for info in _INFO)
 _IS_BRANCH = tuple(info.is_branch for info in _INFO)
 _IS_SIMD = tuple(info.is_simd for info in _INFO)
 _MEM_KIND_OF = tuple(_MEM_KIND.get(op) for op in Opcode)
+#: Issue-to-result latency of opcodes that complete after a fixed delay;
+#: 0 for memory and stream opcodes, whose completion the memory system
+#: or the vector unit decides.  Every fixed latency is at least 1, so a
+#: fixed-latency result never lands in the issuing cycle.
+_FIXED_LATENCY = tuple(
+    0 if info.is_mem or info.is_stream else info.latency for info in _INFO
+)
+
+# ---------------------------------------------------------------- fetch plan
+#
+# A fetch group's extent is static: it starts at the fetched instruction
+# and takes up to ``fetch_group_size`` instructions, stopping at an
+# I-cache line boundary, at the end of the trace and after the first
+# taken branch.  Only the predictor's verdicts are dynamic: a
+# mispredicted branch ends the group early.  Each trace therefore
+# memoizes, per group size, one code per instruction — the length of the
+# group starting there in the low ``group_size.bit_length()`` bits and
+# the mask of its branch offsets above them.  A code is planned on the
+# first fetch of its group start (0 means "not planned yet"; a group
+# always holds at least one instruction), so a trace fetched once pays
+# one planning walk per group, the walk the fetch stage would otherwise
+# repeat on every visit.
+
+
+def _trace_memo(trace: Trace) -> dict:
+    """The trace's memo of derived plans; it lives and dies with the trace.
+
+    Holds the fetch plans (key ``("fetch", group_size)``) and the
+    fast-forward plan (key ``"fast-forward"``).  Traces are immutable
+    once built, so a plan stays valid for the trace's life.
+    """
+    memo = trace._memo
+    if memo is None:
+        memo = trace._memo = {}
+    return memo
+
+
+def _fetch_plan(trace: Trace, group_size: int):
+    """The trace's (lazily filled) fetch plan for ``group_size``.
+
+    An unsigned ``array`` of the narrowest width that holds a code —
+    two bytes per instruction up to 12-instruction groups.
+    """
+    memo = _trace_memo(trace)
+    key = ("fetch", group_size)
+    plan = memo.get(key)
+    if plan is None:
+        bits = group_size.bit_length() + group_size
+        length = len(trace.instructions)
+        for typecode in "HIQ":
+            itemsize = array(typecode).itemsize
+            if itemsize * 8 >= bits:
+                plan = array(typecode, bytes(itemsize * length))
+                break
+        else:
+            plan = [0] * length
+        memo[key] = plan
+    return plan
+
+
+def _plan_group(plan, instructions: list, idx: int, group_size: int) -> int:
+    """Plan the fetch group starting at ``idx``; store and return its code."""
+    line = instructions[idx].pc >> 5
+    stop = min(idx + group_size, len(instructions))
+    length = 0
+    mask = 0
+    for position in range(idx, stop):
+        inst = instructions[position]
+        if inst.pc >> 5 != line:
+            # Fetch groups cannot cross an I-cache line boundary.
+            break
+        length += 1
+        if _IS_BRANCH[inst.op]:
+            mask |= 1 << (position - idx)
+            if inst.taken:
+                break
+    code = length | mask << group_size.bit_length()
+    plan[idx] = code
+    return code
+
+
+class _BranchOffsets(dict):
+    """Branch-offset mask -> ascending tuple of its set bit positions."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        offsets = tuple(
+            bit for bit in range(mask.bit_length()) if mask >> bit & 1
+        )
+        self[mask] = offsets
+        return offsets
+
+
+_BRANCH_OFFSETS = _BranchOffsets()
 
 # --------------------------------------------------------------- fast-forward
 #
@@ -98,18 +196,17 @@ _FF_BRANCH = 1   # (idx, tag, pc,       taken,  0,      None)
 _FF_MEM = 2      # (idx, tag, mem_addr, 0,      0,      kind)
 _FF_STREAM = 3   # (idx, tag, mem_addr, stride, length, kind)
 
-#: plan cache: id(trace) -> (trace, event_indices, events, weight_prefix).
-#: Entries hold the trace itself, so a live plan's id() can never be
-#: reused by a different trace; FIFO-bounded so huge traces from many
-#: scales do not accumulate.
-_FF_PLANS: dict[int, tuple] = {}
-_FF_PLAN_LIMIT = 64
-
 
 def _ff_plan(trace: Trace) -> tuple:
-    key = id(trace)
-    plan = _FF_PLANS.get(key)
-    if plan is not None and plan[0] is trace:
+    """The trace's memoized fast-forward plan.
+
+    ``(event_indices, events, weight_prefix)``: the eventful
+    instructions' indices, their event tuples, and the prefix sum of
+    expanded weights over the whole trace.
+    """
+    memo = _trace_memo(trace)
+    plan = memo.get("fast-forward")
+    if plan is not None:
         return plan
     events: list[tuple] = []
     append = events.append
@@ -147,10 +244,8 @@ def _ff_plan(trace: Trace) -> tuple:
                     last_mem_key = mem_key
         total += weight
         prefix[idx + 1] = total
-    if len(_FF_PLANS) >= _FF_PLAN_LIMIT:
-        _FF_PLANS.pop(next(iter(_FF_PLANS)))
-    plan = (trace, tuple(e[0] for e in events), events, prefix)
-    _FF_PLANS[key] = plan
+    plan = (tuple(e[0] for e in events), events, prefix)
+    memo["fast-forward"] = plan
     return plan
 
 
@@ -300,7 +395,13 @@ def merge_sampled_chunks(
 
 
 class InFlight:
-    """Dynamic state of one dispatched instruction."""
+    """Dynamic state of one dispatched instruction.
+
+    ``state`` is :data:`_STATE_WAITING` until the result arrives, then
+    :data:`_STATE_DONE`; a mispredicted branch waits in
+    :data:`_STATE_MISPREDICTED` instead, so its completion knows to
+    unblock the thread's fetch without a separate per-entry flag.
+    """
 
     __slots__ = (
         "inst",
@@ -308,36 +409,52 @@ class InFlight:
         "state",
         "deps",
         "dependents",
-        "mispredicted",
-        "squashed",
         "queue",
     )
 
     def __init__(self, inst: Instruction, thread: int, mispredicted: bool):
         self.inst = inst
         self.thread = thread
-        self.state = _STATE_WAITING
+        self.state = _STATE_MISPREDICTED if mispredicted else _STATE_WAITING
         self.deps = 0
         #: Lazily allocated: most instructions complete with no waiters,
         #: so the list is only created when a dependent first registers.
         self.dependents: list[InFlight] | None = None
-        self.mispredicted = mispredicted
-        self.squashed = False
         #: The IssueQueue this entry dispatched into (set at dispatch);
         #: lets the completion stage wake dependents without re-deriving
         #: the queue from the opcode.
         self.queue: IssueQueue | None = None
 
 
+#: The rename map's entry for a register with no in-flight producer: an
+#: always-complete pseudo-instruction, so dispatch tests one state
+#: instead of testing for ``None`` first.  Commit leaves a retired
+#: producer mapped — it is complete too, so it creates no dependency —
+#: until a younger writer replaces it or the context is reassigned.
+_NO_PRODUCER = InFlight(None, -1, False)
+_NO_PRODUCER.state = _STATE_DONE
+
+
 class ThreadContext:
-    """Per-hardware-context front-end and rename state."""
+    """Per-hardware-context front-end and rename state.
+
+    The decode buffer holds bare :class:`Instruction` records.  A
+    mispredicted branch blocks its thread's fetch until it completes, so
+    it is always the last entry of its decode buffer; the
+    ``mispredict_pending`` flag marks that last entry instead of a
+    per-entry field.  ``inflight_insts``, ``inflight_ops`` and
+    ``fetched_vector_last`` are maintained only under the fetch policies
+    that read them (not round-robin).
+    """
 
     __slots__ = (
         "index",
         "trace",
         "trace_len",
         "fetch_idx",
+        "fetch_plan",
         "decode",
+        "mispredict_pending",
         "rename",
         "fetch_blocked",
         "fetch_stall_until",
@@ -353,8 +470,12 @@ class ThreadContext:
         self.trace: Trace | None = None
         self.trace_len = 0
         self.fetch_idx = 0
+        #: The trace's fetch plan for this machine's group size, looked
+        #: up by the fetch stage on the first fetch after ``assign``.
+        self.fetch_plan = None
         self.decode: deque = deque()
-        self.rename: list[InFlight | None] = [None] * _RENAME_SLOTS
+        self.mispredict_pending = False
+        self.rename: list[InFlight] = [_NO_PRODUCER] * _RENAME_SLOTS
         self.fetch_blocked = False
         self.fetch_stall_until = 0
         self.fetched_vector_last = False
@@ -367,8 +488,10 @@ class ThreadContext:
         self.trace = trace
         self.trace_len = len(trace.instructions)
         self.fetch_idx = 0
+        self.fetch_plan = None
         self.decode.clear()
-        self.rename = [None] * _RENAME_SLOTS
+        self.mispredict_pending = False
+        self.rename = [_NO_PRODUCER] * _RENAME_SLOTS
         self.fetch_blocked = False
         self.fetched_vector_last = False
         self.trace_expanded = trace.expanded_length
@@ -421,6 +544,8 @@ class SMTProcessor:
         self.config = config
         self.memory = memory
         self.fetch_policy = fetch_policy
+        # The in-flight counters feed only the non-RR fetch policies.
+        self._track_inflight = fetch_policy is not FetchPolicy.RR
         self.max_cycles = max_cycles
         self.scheduler = scheduler or MultiprogramScheduler(
             traces, config.n_threads, completions_target=completions_target
@@ -475,14 +600,15 @@ class SMTProcessor:
             self.observer = resolve_observer(config.observe)
             self.window.observer = self.observer
             memory.attach_observer(self.observer)
-        self.pools = dict(config.resources.rename_regs)
+        self._pool_free = self._initial_pools()
         self.threads = [ThreadContext(i) for i in range(config.n_threads)]
         for slot, assignment in zip(
             self.threads,
             self.scheduler.next_assignments(config.n_threads),
         ):
             slot.assign(assignment.trace)
-        self._wake: dict[int, list[InFlight]] = {}
+        #: Completion cycle -> entries whose results arrive then.
+        self._wake: defaultdict[int, list[InFlight]] = defaultdict(list)
         self._rotation = 0
         # Preallocated round-robin thread orders, one per rotation phase.
         n = config.n_threads
@@ -490,6 +616,10 @@ class SMTProcessor:
             tuple((i + r) % n for i in range(n)) for r in range(n)
         )
         self._decode_room = config.decode_buffer - config.fetch_group_size
+        # Fetch-plan code layout (see _fetch_plan): group length in the
+        # low bits, branch-offset mask above them.
+        self._plan_shift = config.fetch_group_size.bit_length()
+        self._plan_length = (1 << self._plan_shift) - 1
         # Warmup: caches/predictor train on the first fraction of the
         # committed work; statistics cover only the measurement window
         # (standard trace-driven methodology — the scaled traces would
@@ -516,6 +646,21 @@ class SMTProcessor:
         self.per_program_committed: dict[str, int] = {}
         self.vector_only_cycles = 0
         self.active_cycles = 0
+
+    def _initial_pools(self) -> list[int]:
+        """Free physical registers per class, indexed by class value."""
+        free = [0] * len(RegisterClass)
+        for cls, count in self.config.resources.rename_regs.items():
+            free[cls] = count
+        return free
+
+    @property
+    def pools(self) -> dict[RegisterClass, int]:
+        """Free physical registers of each renamed register class."""
+        return {
+            cls: self._pool_free[cls]
+            for cls in self.config.resources.rename_regs
+        }
 
     # ------------------------------------------------------------------ stages
 
@@ -581,7 +726,15 @@ class SMTProcessor:
         method tens of thousands of times per run, so the stages share a
         single set of hoisted locals (thread table, rotation order,
         graduation-window occupancy) instead of each paying its own call
-        and prologue cost; stage boundaries are marked by comments.
+        and prologue cost.  A ``stage`` marker comment opens each stage
+        (``scripts/profile_step.py`` attributes bytecodes by them).
+
+        The body relies on invariants of the trace-driven model
+        (docs/MODEL.md, "Performance & reproducibility"): nothing is
+        ever squashed in the processor, a pending mispredicted branch is
+        the last entry of its decode buffer, the in-flight counters are
+        maintained only for the fetch policies that read them, and
+        fetch groups come from the trace's memoized fetch plan.
         """
         now = self.now
         config = self.config
@@ -590,80 +743,98 @@ class SMTProcessor:
         fifos = window._fifos
         win_sanitizer = window.sanitizer
         observer = self.observer
-        pools = self.pools
+        # One test per hook site instead of one per hook: the sanitizer
+        # (window and queues, attached together) and the observer.
+        hooked = win_sanitizer is not None or observer is not None
+        track = self._track_inflight
+        # Per-instruction bookkeeping of issue and fetch: the in-flight
+        # counters and the observer's events.
+        per_inst_hooks = track or observer is not None
+        pools = self._pool_free
         scheduler = self.scheduler
         predictor = self.predictor
         per_program_committed = self.per_program_committed
         order = self._orders[self._rotation % config.n_threads]
         win_occ = window.occupancy
 
-        # ---- complete: results arriving this cycle wake their dependents.
+        # stage: complete — results arriving this cycle wake their dependents.
         entries = self._wake.pop(now, None)
         completed = 0
         if entries:
             redirect = config.mispredict_redirect
             for entry in entries:
-                entry.state = _STATE_DONE
-                dependents = entry.dependents
-                if dependents is not None:
-                    for dependent in dependents:
-                        dependent.deps -= 1
-                        if dependent.deps == 0 and not dependent.squashed:
-                            dependent.queue.ready.append(dependent)
-                    entry.dependents = None
-                if entry.mispredicted:
+                # A waiting entry's only nonzero state is
+                # _STATE_MISPREDICTED: the branch resolves, fetch resumes.
+                if entry.state:
                     ctx = threads[entry.thread]
                     ctx.fetch_blocked = False
                     stall = now + redirect
                     if stall > ctx.fetch_stall_until:
                         ctx.fetch_stall_until = stall
-                if observer is not None:
+                entry.state = _STATE_DONE
+                dependents = entry.dependents
+                if dependents is not None:
+                    for dependent in dependents:
+                        dependent.deps -= 1
+                        if dependent.deps == 0:
+                            dependent.queue.ready.append(dependent)
+                    entry.dependents = None
+            if observer is not None:
+                for entry in entries:
                     observer.on_complete(entry, now)
             completed = len(entries)
 
-        # ---- commit: in-order retirement from the per-thread FIFOs.
-        budget = config.commit_width
-        committed_any = 0
+        # stage: commit — in-order retirement from the per-thread FIFOs.
+        commit_width = config.commit_width
+        budget = commit_width
         committed = self.committed
         committed_equiv = self.committed_equiv
         by_thread = self.committed_by_thread
         for thread in order:
-            if budget == 0:
+            if budget <= 0:
                 break
-            ctx = threads[thread]
             fifo = fifos[thread]
             if fifo:
-                rename = ctx.rename
+                head = fifo[0]
+                if head.state != _STATE_DONE:
+                    continue
+                ctx = threads[thread]
                 equiv = ctx.equiv_per_inst
-                while budget > 0 and fifo:
-                    head = fifo[0]
-                    if head.state != _STATE_DONE:
-                        break
+                retired = 0
+                while True:
                     fifo.popleft()
-                    win_occ -= 1
-                    if win_sanitizer is not None:
-                        window.occupancy = win_occ
-                        win_sanitizer.on_window_retire(window, thread, head)
-                    if observer is not None:
-                        observer.on_commit(thread, head, now)
+                    budget -= 1
+                    if hooked:
+                        if win_sanitizer is not None:
+                            window.occupancy = (
+                                win_occ - (commit_width - budget)
+                            )
+                            win_sanitizer.on_window_retire(window, thread, head)
+                        if observer is not None:
+                            observer.on_commit(thread, head, now)
                     inst = head.inst
                     dst = inst.dst
                     if dst != NO_REG:
                         pools[dst >> _CLASS_SHIFT] += 1
-                        if rename[dst] is head:
-                            rename[dst] = None
                     weight = inst.stream_length
-                    committed += weight
-                    by_thread[thread] += weight
+                    retired += weight
+                    # Per instruction: float accumulation order is part
+                    # of the bit-identity contract.
                     committed_equiv += weight * equiv
-                    budget -= 1
-                    committed_any += 1
+                    if budget <= 0 or not fifo:
+                        break
+                    head = fifo[0]
+                    if head.state != _STATE_DONE:
+                        break
+                committed += retired
+                by_thread[thread] += retired
+                if fifo:
+                    continue
+            else:
+                ctx = threads[thread]
             # Program completion: everything fetched, dispatched, retired.
-            # (``not fifo`` first: it is the cheapest test and almost
-            # always false mid-program.)
             if (
-                not fifo
-                and ctx.trace is not None
+                ctx.trace is not None
                 and ctx.fetch_idx >= ctx.trace_len
                 and not ctx.decode
             ):
@@ -680,10 +851,12 @@ class SMTProcessor:
                     predictor.reset_thread(thread)
                 if observer is not None:
                     observer.on_thread_assign(thread)
+        committed_any = commit_width - budget
+        win_occ -= committed_any
         self.committed = committed
         self.committed_equiv = committed_equiv
 
-        # ---- warmup boundary: restart measurement with warm structures.
+        # Warmup boundary: restart measurement with warm structures.
         if not self._warm and committed >= self._warmup_commits:
             self._warm = True
             self._base_cycles = now
@@ -698,7 +871,7 @@ class SMTProcessor:
             window.occupancy = win_occ
             return bool(completed or committed_any)
 
-        # ---- issue: drain ready queues into the execution resources.
+        # stage: issue — drain ready queues into the execution resources.
         issued = 0
         issued_vector = False
         issued_scalar = False
@@ -706,8 +879,8 @@ class SMTProcessor:
         floor = now + 1
         memory = self.memory
         vector_execute = self.vector_unit.execute
+        fixed_latency = _FIXED_LATENCY
         is_mem = _IS_MEM
-        is_stream = _IS_STREAM
         latency_of = _LATENCY
         mem_kind_of = _MEM_KIND_OF
         for queue, width, is_simd in self._issue_plan:
@@ -715,65 +888,59 @@ class SMTProcessor:
             if not ready:
                 continue
             taken = 0
-            q_occ = queue.occupancy
-            q_issued = queue.issued_total
             while taken < width and ready:
                 entry = ready.popleft()
-                q_occ -= 1
-                if entry.squashed:
-                    continue
-                q_issued += 1
                 taken += 1
-                ctx = threads[entry.thread]
                 inst = entry.inst
-                stream_length = inst.stream_length
-                ctx.inflight_insts -= 1
-                ctx.inflight_ops -= stream_length
                 op = inst.op
-                if is_mem[op]:
-                    if stream_length > 1:
-                        done = memory.access_stream(
-                            entry.thread,
-                            inst.mem_addr,
-                            inst.stride,
-                            stream_length,
-                            mem_kind_of[op],
-                            now,
-                        )
+                done = fixed_latency[op]
+                if done:
+                    done += now
+                else:
+                    if is_mem[op]:
+                        if inst.stream_length > 1:
+                            done = memory.access_stream(
+                                entry.thread,
+                                inst.mem_addr,
+                                inst.stride,
+                                inst.stream_length,
+                                mem_kind_of[op],
+                                now,
+                            )
+                        else:
+                            done = memory.access(
+                                entry.thread, inst.mem_addr, mem_kind_of[op],
+                                now,
+                            )
                     else:
-                        done = memory.access(
-                            entry.thread, inst.mem_addr, mem_kind_of[op], now
+                        done = vector_execute(
+                            now,
+                            inst.stream_length,
+                            latency_of[op],
+                            reduction=(op is Opcode.MOM_REDUCE),
                         )
-                elif is_stream[op]:
-                    done = vector_execute(
-                        now,
-                        stream_length,
-                        latency_of[op],
-                        reduction=(op is Opcode.MOM_REDUCE),
-                    )
-                else:
-                    done = now + latency_of[op]
-                if done < floor:
-                    done = floor
-                if observer is not None:
-                    observer.on_issue(entry, now, done)
-                lst = wake.get(done)
-                if lst is None:
-                    wake[done] = [entry]
-                else:
-                    lst.append(entry)
-            queue.occupancy = q_occ
-            queue.issued_total = q_issued
+                    if done < floor:
+                        done = floor
+                if per_inst_hooks:
+                    if track:
+                        ctx = threads[entry.thread]
+                        ctx.inflight_insts -= 1
+                        ctx.inflight_ops -= inst.stream_length
+                    if observer is not None:
+                        observer.on_issue(entry, now, done)
+                wake[done].append(entry)
             if taken:
+                queue.occupancy -= taken
+                queue.issued_total += taken
                 issued += taken
                 if is_simd:
                     issued_vector = True
                 else:
                     issued_scalar = True
 
-        # ---- dispatch: rename and insert decoded instructions.
-        budget = config.dispatch_width
-        dispatched = 0
+        # stage: dispatch — rename and insert decoded instructions.
+        dispatch_width = config.dispatch_width
+        budget = dispatch_width
         queue_of_op = self._queue_of_op
         win_cap = window.capacity
         inflight_new = InFlight.__new__
@@ -781,17 +948,15 @@ class SMTProcessor:
         # condition (empty decode, full queue, full window, empty register
         # pool) is monotone within a cycle, so a thread that fails to
         # dispatch is dropped from the scan instead of being re-checked.
-        live = [t for t in order if threads[t].decode]
+        live = order
         while budget > 0 and live:
             next_live = []
             for thread in live:
-                if budget == 0:
-                    break
                 ctx = threads[thread]
                 decode = ctx.decode
                 if not decode:
                     continue
-                inst, mispredicted = decode[0]
+                inst = decode[0]
                 queue = queue_of_op[inst.op]
                 if queue.occupancy >= queue.capacity or win_occ >= win_cap:
                     if observer is not None:
@@ -803,26 +968,34 @@ class SMTProcessor:
                         )
                     continue
                 dst = inst.dst
-                if dst != NO_REG and pools[dst >> _CLASS_SHIFT] <= 0:
-                    if observer is not None:
-                        observer.stall("dispatch_pool_empty", thread)
-                    continue
+                if dst != NO_REG:
+                    # The pool test is the last stall condition, so the
+                    # register is claimed as soon as it passes.
+                    cls = dst >> _CLASS_SHIFT
+                    free = pools[cls]
+                    if free <= 0:
+                        if observer is not None:
+                            observer.stall("dispatch_pool_empty", thread)
+                        continue
+                    pools[cls] = free - 1
                 decode.popleft()
                 # InFlight construction, spelled out (the constructor is
                 # the single hottest allocation site in the simulator).
                 entry = inflight_new(InFlight)
                 entry.inst = inst
                 entry.thread = thread
-                entry.state = _STATE_WAITING
                 entry.dependents = None
-                entry.mispredicted = mispredicted
-                entry.squashed = False
                 entry.queue = queue
+                if decode or not ctx.mispredict_pending:
+                    entry.state = _STATE_WAITING
+                else:
+                    entry.state = _STATE_MISPREDICTED
+                    ctx.mispredict_pending = False
                 rename = ctx.rename
                 deps = 0
                 for src in inst.srcs:
                     producer = rename[src]
-                    if producer is not None and producer.state != _STATE_DONE:
+                    if producer.state != _STATE_DONE:
                         deps += 1
                         waiters = producer.dependents
                         if waiters is None:
@@ -831,38 +1004,42 @@ class SMTProcessor:
                             waiters.append(entry)
                 entry.deps = deps
                 if dst != NO_REG:
-                    pools[dst >> _CLASS_SHIFT] -= 1
                     rename[dst] = entry
                 fifos[thread].append(entry)
                 win_occ += 1
-                if win_sanitizer is not None:
-                    window.occupancy = win_occ
-                    win_sanitizer.on_window_insert(window, thread, entry)
                 queue.occupancy += 1
                 if deps == 0:
                     queue.ready.append(entry)
-                if queue.sanitizer is not None:
-                    queue.sanitizer.check_queue(queue)
-                if observer is not None:
-                    observer.on_dispatch(thread, entry, now)
+                if hooked:
+                    if win_sanitizer is not None:
+                        window.occupancy = win_occ
+                        win_sanitizer.on_window_insert(window, thread, entry)
+                    if queue.sanitizer is not None:
+                        queue.sanitizer.check_queue(queue)
+                    if observer is not None:
+                        observer.on_dispatch(thread, entry, now)
                 budget -= 1
-                dispatched += 1
+                if not budget:
+                    break
                 next_live.append(thread)
             live = next_live
+        dispatched = dispatch_width - budget
         window.occupancy = win_occ
 
-        # ---- fetch: pull instruction groups into the decode buffers.
+        # stage: fetch — pull instruction groups into the decode buffers.
         groups = 0
         fetched = 0
         fetch_groups = config.fetch_groups
         group_size = config.fetch_group_size
+        plan_shift = self._plan_shift
+        plan_length = self._plan_length
+        branch_offsets = _BRANCH_OFFSETS
         decode_room = self._decode_room
         memory_fetch = memory.fetch
         predict = self.predictor.predict_and_update
-        is_branch_of = _IS_BRANCH
         is_simd_of = _IS_SIMD
         # Round-robin needs no per-thread sort; skip the policy dispatch.
-        if self.fetch_policy is not FetchPolicy.RR:
+        if track:
             order = self._fetch_order()
         for thread in order:
             if groups == fetch_groups:
@@ -882,7 +1059,8 @@ class SMTProcessor:
                 continue
             ctx = threads[thread]
             idx = ctx.fetch_idx
-            if ctx.trace is None or idx >= ctx.trace_len:
+            trace = ctx.trace
+            if trace is None or idx >= ctx.trace_len:
                 continue
             if ctx.fetch_blocked:
                 # Wrong-path fetch: the front end does not know the branch
@@ -902,10 +1080,8 @@ class SMTProcessor:
                     observer.stall("fetch_decode_full", thread)
                 continue
             groups += 1
-            instructions = ctx.trace.instructions
-            trace_len = ctx.trace_len
-            pc = instructions[idx].pc
-            ready = memory_fetch(thread, pc, now)
+            instructions = trace.instructions
+            ready = memory_fetch(thread, instructions[idx].pc, now)
             if ready > now + 2:
                 # A genuine I-cache miss: stall the thread until the fill
                 # arrives.  One-cycle bank-conflict delays are absorbed in
@@ -915,40 +1091,48 @@ class SMTProcessor:
                 if observer is not None:
                     observer.stall("fetch_icache", thread)
                 continue
-            took_vector = False
-            group_line = pc >> 5
-            inflight_insts = 0
-            inflight_ops = 0
-            for __ in range(group_size):
-                if idx >= trace_len:
-                    break
-                inst = instructions[idx]
-                if inst.pc >> 5 != group_line:
-                    # Fetch groups cannot cross an I-cache line boundary.
-                    break
-                idx += 1
-                op = inst.op
-                mispredicted = False
-                is_branch = is_branch_of[op]
-                if is_branch:
-                    mispredicted = not predict(thread, inst.pc, inst.taken)
-                decode.append((inst, mispredicted))
+            plan = ctx.fetch_plan
+            if plan is None:
+                plan = ctx.fetch_plan = _fetch_plan(trace, group_size)
+            code = plan[idx]
+            if not code:
+                code = _plan_group(plan, instructions, idx, group_size)
+            end = idx + (code & plan_length)
+            mispredicted = False
+            mask = code >> plan_shift
+            if mask:
+                # Predict the group's branches in order; a mispredicted
+                # one ends the group and blocks the thread's fetch.
+                for offset in branch_offsets[mask]:
+                    inst = instructions[idx + offset]
+                    if not predict(thread, inst.pc, inst.taken):
+                        end = idx + offset + 1
+                        mispredicted = True
+                        ctx.fetch_blocked = True
+                        ctx.mispredict_pending = True
+                        break
+            decode.extend(instructions[idx:end])
+            fetched += end - idx
+            ctx.fetch_idx = end
+            if per_inst_hooks:
                 if observer is not None:
-                    observer.on_fetch(thread, inst, now, mispredicted)
-                inflight_insts += 1
-                inflight_ops += inst.stream_length
-                fetched += 1
-                if is_simd_of[op]:
-                    took_vector = True
-                if mispredicted:
-                    ctx.fetch_blocked = True
-                    break
-                if is_branch and inst.taken:
-                    break
-            ctx.fetch_idx = idx
-            ctx.inflight_insts += inflight_insts
-            ctx.inflight_ops += inflight_ops
-            ctx.fetched_vector_last = took_vector
+                    last = end - 1
+                    for position in range(idx, end):
+                        observer.on_fetch(
+                            thread, instructions[position], now,
+                            mispredicted and position == last,
+                        )
+                if track:
+                    took_vector = False
+                    ops = 0
+                    for position in range(idx, end):
+                        inst = instructions[position]
+                        ops += inst.stream_length
+                        if is_simd_of[inst.op]:
+                            took_vector = True
+                    ctx.inflight_insts += end - idx
+                    ctx.inflight_ops += ops
+                    ctx.fetched_vector_last = took_vector
 
         if issued:
             self.active_cycles += 1
@@ -1111,7 +1295,7 @@ class SMTProcessor:
                 plans[ctx.index] = plan
                 # Detailed windows advance fetch_idx without touching the
                 # plan cursor, so re-seat it on every fast-forward entry.
-                positions[ctx.index] = bisect_left(plan[1], ctx.fetch_idx)
+                positions[ctx.index] = bisect_left(plan[0], ctx.fetch_idx)
         chunk = 128
         remaining = budget
         while remaining > 0 and not scheduler.done:
@@ -1126,7 +1310,7 @@ class SMTProcessor:
                 idx = ctx.fetch_idx
                 trace_len = ctx.trace_len
                 if idx < trace_len:
-                    _, ev_idx, events, prefix = plans[thread]
+                    ev_idx, events, prefix = plans[thread]
                     end = idx + chunk
                     if end > trace_len:
                         end = trace_len
@@ -1203,14 +1387,14 @@ class SMTProcessor:
         self.window.occupancy = 0
         for fifo in self.window._fifos:
             fifo.clear()
-        self.pools = dict(config.resources.rename_regs)
+        self._pool_free = self._initial_pools()
         self.threads = [ThreadContext(i) for i in range(config.n_threads)]
         for slot, assignment in zip(
             self.threads,
             self.scheduler.next_assignments(config.n_threads),
         ):
             slot.assign(assignment.trace)
-        self._wake = {}
+        self._wake = defaultdict(list)
         self._rotation = 0
         self.now = 0
         self.committed = 0
@@ -1254,7 +1438,7 @@ class SMTProcessor:
                 idx = ctx.fetch_idx
                 trace_len = ctx.trace_len
                 if idx < trace_len:
-                    prefix = _ff_plan(trace)[3]
+                    prefix = _ff_plan(trace)[2]
                     end = idx + chunk
                     if end > trace_len:
                         end = trace_len

@@ -53,6 +53,14 @@ class Trace:
     _expanded_length: int | None = field(
         default=None, repr=False, compare=False
     )
+    #: Memo of tables derived from ``instructions`` by their consumers
+    #: (the SMT core's fetch and fast-forward plans), so each dies with
+    #: the trace.  Not an ``__init__`` argument, so ``dataclasses.replace``
+    #: — which rebuilds traces with new instructions — starts the copy
+    #: with an empty memo.
+    _memo: dict | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -22,9 +22,12 @@ from repro.analysis.runner import (
     RESULT_FORMAT,
     RunRequest,
     execute_request,
+    memory_factory,
     result_from_dict,
     result_to_dict,
+    workload_traces,
 )
+from repro.core import FetchPolicy, SMTConfig, SMTProcessor
 from repro.core.metrics import RunResult
 
 GOLDEN_PATH = os.path.join(
@@ -73,6 +76,44 @@ def test_fingerprints_unchanged_under_pinned_version(name):
     entry = GOLDEN["runs"][name]
     fingerprint = request_of(entry).fingerprint(GOLDEN["pinned_version"])
     assert fingerprint == entry["fingerprint_pinned"]
+
+
+#: Pins whose fetch policy reads the core's policy-conditional in-flight
+#: counters (everything but round-robin).
+NON_RR_PINS = sorted(
+    name for name, entry in GOLDEN["runs"].items()
+    if entry["request"]["fetch_policy"] != "rr"
+)
+
+
+def test_every_non_rr_fetch_policy_is_pinned():
+    policies = {GOLDEN["runs"][name]["request"]["fetch_policy"]
+                for name in NON_RR_PINS}
+    assert policies == {"icount", "ocount", "balance"}
+
+
+@pytest.mark.parametrize("hook", ["observe", "sanitize"])
+@pytest.mark.parametrize("name", NON_RR_PINS)
+def test_hooked_non_rr_run_hashes_like_the_plain_run(name, hook):
+    # The observer and the sanitizer take the hooked paths of step();
+    # with the observability snapshot set aside, the result must be the
+    # pinned plain-run bytes.
+    request = request_of(GOLDEN["runs"][name])
+    processor = SMTProcessor(
+        SMTConfig(isa=request.isa, n_threads=request.n_threads,
+                  **{hook: True}),
+        memory_factory(request.memory)(),
+        workload_traces(request.isa, request.scale, request.seed),
+        fetch_policy=FetchPolicy(request.fetch_policy),
+        completions_target=request.completions_target,
+    )
+    payload = result_to_dict(processor.run())
+    observed = payload.pop("observability", None)
+    assert (observed is not None) == (hook == "observe")
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        GOLDEN["runs"][name]["result_sha256"]
+    )
 
 
 def test_result_format_unchanged():

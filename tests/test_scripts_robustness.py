@@ -18,7 +18,9 @@ SCRIPTS_DIR = os.path.join(
 sys.path.insert(0, SCRIPTS_DIR)
 
 import check_hotloop  # noqa: E402
+import profile_step  # noqa: E402
 import run_experiments  # noqa: E402
+import update_goldens  # noqa: E402
 import verify_tool  # noqa: E402
 from run_experiments import SweepCheckpoint  # noqa: E402
 
@@ -476,3 +478,113 @@ class TestVerifyToolCache:
         argv = ["verify_tool.py", "cache", "--cache-dir", str(tmp_path)]
         assert verify_tool.main(argv) == 1
         assert verify_tool.main(argv + ["--purge-corrupt"]) == 0
+
+
+class TestProfileStep:
+    """The per-stage bytecode profile of ``SMTProcessor.step()``."""
+
+    def test_step_carries_every_stage_marker_in_pipeline_order(self):
+        from repro.core.smt import SMTProcessor
+
+        stages = profile_step.stage_of_lines(SMTProcessor.step)
+        opened = [
+            stage for line, stage in sorted(stages.items())
+            if stages.get(line - 1) != stage
+        ]
+        assert opened == ["entry", *profile_step.STAGES]
+
+    def test_missing_marker_is_an_error(self):
+        def partial():
+            # stage: complete
+            # stage: commit
+            return None
+
+        with pytest.raises(ValueError, match="stage markers"):
+            profile_step.stage_of_lines(partial)
+
+    def test_counts_are_deterministic(self):
+        first = profile_step.profile_point("mom", 2, 1e-5, 0)
+        second = profile_step.profile_point("mom", 2, 1e-5, 0)
+        assert first == second
+        assert all(first["bytecodes"][stage] > 0
+                   for stage in profile_step.STAGES)
+        assert first["committed"] > 0
+
+    def test_table_has_a_row_per_point(self):
+        record = {
+            "point": "mom-2T", "committed": 40, "cycles": 30,
+            "per_inst": dict.fromkeys(profile_step.COLUMNS, 2.0),
+            "per_inst_total": 12.0,
+        }
+        lines = profile_step.render([record, record]).splitlines()
+        assert lines[0] == (
+            "| point | committed | cycles | entry | complete | commit | "
+            "issue | dispatch | fetch | total |"
+        )
+        assert lines[2:] == [
+            "| mom-2T | 40 | 30 | 2.0 | 2.0 | 2.0 | 2.0 | 2.0 | 2.0 | 12.0 |"
+        ] * 2
+
+    def test_restores_the_previous_trace_function(self):
+        from repro.core.smt import SMTProcessor
+
+        def outer_tracer(frame, event, arg):
+            return None
+
+        saved = sys.gettrace()
+        sys.settrace(outer_tracer)
+        try:
+            with profile_step.OpcodeCounter(SMTProcessor.step.__code__):
+                inside = sys.gettrace()
+            restored = sys.gettrace()
+        finally:
+            sys.settrace(saved)
+        assert inside is not outer_tracer
+        assert restored is outer_tracer
+
+    def test_no_simulator_module_imports_it(self):
+        import ast
+
+        src = os.path.join(os.path.dirname(SCRIPTS_DIR), "src")
+        for root, __, names in os.walk(src):
+            for name in names:
+                if not name.endswith(".py"):
+                    continue
+                with open(os.path.join(root, name)) as handle:
+                    tree = ast.parse(handle.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""]
+                    else:
+                        continue
+                    assert not any(
+                        "profile_step" in module for module in modules
+                    ), name
+
+
+class TestRecordBitidentPins:
+    """``update_goldens.py --bitident`` writes pins the suite accepts."""
+
+    def test_rerecording_a_pin_reproduces_it(self, tmp_path):
+        source = os.path.join(
+            os.path.dirname(SCRIPTS_DIR), "tests", "golden", "bitident.json"
+        )
+        with open(source) as handle:
+            document = json.load(handle)
+        name = "mmx/1T/conventional/rr"
+        pinned = document["runs"].pop(name)
+        with open(tmp_path / "bitident.json", "w") as handle:
+            json.dump(document, handle)
+        assert update_goldens.record_bitident([name], str(tmp_path)) == 0
+        with open(tmp_path / "bitident.json") as handle:
+            assert json.load(handle)["runs"][name] == pinned
+
+    def test_malformed_name_is_rejected(self, tmp_path, capsys):
+        with open(tmp_path / "bitident.json", "w") as handle:
+            json.dump({"scale": 2e-5, "runs": {}}, handle)
+        assert update_goldens.record_bitident(
+            ["mmx-1T-conventional"], str(tmp_path)
+        ) == 2
+        assert "isa/<N>T/memory/policy" in capsys.readouterr().out
