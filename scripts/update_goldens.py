@@ -25,6 +25,16 @@ an optimization of the core, so the pin proves the optimization exact:
     PYTHONPATH=src python scripts/update_goldens.py \
         --bitident mom/4T/conventional/ocount
 
+A name prefixed ``observed/`` is written to the ``observed_runs``
+section instead: the point (``isa/<N>T/memory/policy``, or
+``isa/cmp-<C>x<K>T/memory`` for a ``CmpSystem``) runs under
+``observe="metrics"`` and ``observe=True``, and each mode's
+``RunResult.observability`` hash and per-core ``stall_breakdown()`` are
+stored:
+
+    PYTHONPATH=src python scripts/update_goldens.py \
+        --bitident observed/mom/cmp-4x2T/decoupled
+
 The goldens are measurements, not aspirations: the script records what
 the current tree produces.  Review the printed paper-vs-measured lines
 before committing a regeneration — a golden that drifts away from the
@@ -43,10 +53,13 @@ import sys
 from repro.analysis.goldens import (
     EXPERIMENTS,
     GOLDEN_SCALE,
+    OBSERVE_MODES,
     build_golden_document,
     check_experiment,
     compare_metrics,
     golden_path,
+    observed_point,
+    observed_spec,
 )
 from repro.analysis.runner import (
     RunRequest,
@@ -58,6 +71,7 @@ from repro.analysis.runner import (
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_GOLDEN_DIR = os.path.join(REPO_ROOT, "tests", "golden")
 BITIDENT_NAME = re.compile(r"^(mmx|mom)/(\d+)T/(\w+)/(\w+)$")
+OBSERVED_PREFIX = "observed/"
 
 
 def canonical_sha256(result) -> str:
@@ -74,6 +88,22 @@ def record_bitident(names: list[str], golden_dir: str) -> int:
     with open(path) as handle:
         document = json.load(handle)
     for name in names:
+        if name.startswith(OBSERVED_PREFIX):
+            point = name[len(OBSERVED_PREFIX):]
+            try:
+                spec = observed_spec(point, document["scale"])
+            except ValueError as error:
+                print(f"error: {error}")
+                return 2
+            entry = {"spec": spec}
+            for mode, observe in OBSERVE_MODES.items():
+                entry[mode] = observed_point(spec, observe)
+            document.setdefault("observed_runs", {})[point] = entry
+            print(f"pinned observed {point}: " + ", ".join(
+                f"{mode} {entry[mode]['observability_sha256'][:12]}"
+                for mode in OBSERVE_MODES
+            ))
+            continue
         match = BITIDENT_NAME.match(name)
         if match is None:
             print(f"error: {name!r} is not of the form isa/<N>T/memory/policy")
@@ -132,7 +162,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--bitident", nargs="+", metavar="NAME",
         help="record these isa/<N>T/memory/policy bit-identity pins "
-        "instead of the golden metrics",
+        "(observed/<point> for an observed_runs pin) instead of the "
+        "golden metrics",
     )
     args = parser.parse_args(argv)
     if args.bitident:

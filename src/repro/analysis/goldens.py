@@ -23,8 +23,10 @@ live near zero.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 
 from repro.analysis import paper
 from repro.analysis.experiments import (
@@ -33,8 +35,10 @@ from repro.analysis.experiments import (
     run_fig6_fetch,
 )
 from repro.analysis.reporting import format_table, paper_vs_measured
-from repro.analysis.runner import Runner
+from repro.analysis.runner import Runner, memory_factory, workload_traces
 from repro.analysis.serving import ServingRequest, run_serving_batch
+from repro.core import FetchPolicy, SMTConfig, SMTProcessor
+from repro.core.cmp import CmpSystem
 
 #: Scale every golden is recorded at.  2e-5 keeps the whole golden sweep
 #: (fig4 + fig6 + fig8 + the Table 3 trace walk) under ~30 s serial.
@@ -315,3 +319,72 @@ def check_experiment(
         f"{len(failures)} of {len(document['metrics'])} metrics out of band"
     )
     return failures, f"{title}\n{table}"
+
+
+# ---------------------------------------------------------- observed pins
+#
+# ``tests/golden/bitident.json``'s ``observed_runs`` section pins what
+# an observer reports, not just that it leaves the timing alone: the
+# canonical hash of ``RunResult.observability`` and every core's
+# ``stall_breakdown()`` under both observer modes.  A point is named
+# ``isa/<N>T/memory/policy`` (one SMT processor) or
+# ``isa/cmp-<C>x<K>T/memory`` (a ``CmpSystem`` of C cores × K contexts).
+
+OBSERVED_NAME = re.compile(
+    r"^(mmx|mom)/(?:(\d+)T/(\w+)/(\w+)|cmp-(\d+)x(\d+)T/(\w+))$"
+)
+
+#: The observer modes each observed pin is recorded under, keyed by the
+#: name the JSON stores them as.
+OBSERVE_MODES = {"metrics": "metrics", "events": True}
+
+
+def observed_spec(name: str, scale: float) -> dict:
+    """The JSON-safe description of one observed pin point."""
+    match = OBSERVED_NAME.match(name)
+    if match is None:
+        raise ValueError(
+            f"{name!r} is neither isa/<N>T/memory/policy nor "
+            "isa/cmp-<C>x<K>T/memory"
+        )
+    isa, threads, memory, policy, cores, contexts, cmp_memory = (
+        match.groups()
+    )
+    if threads is not None:
+        return {"isa": isa, "arch": "smt", "n_threads": int(threads),
+                "memory": memory, "fetch_policy": policy, "scale": scale}
+    return {"isa": isa, "arch": "cmp", "cores": int(cores),
+            "contexts": int(contexts), "memory": cmp_memory, "scale": scale}
+
+
+def observed_point(spec: dict, observe) -> dict:
+    """Run one observed pin point (seed 0) under ``observe``.
+
+    Returns the canonical SHA-256 of ``RunResult.observability`` and the
+    list of per-core ``stall_breakdown()`` dicts (one for an SMT point).
+    """
+    traces = workload_traces(spec["isa"], spec["scale"])
+    if spec["arch"] == "smt":
+        processor = SMTProcessor(
+            SMTConfig(isa=spec["isa"], n_threads=spec["n_threads"],
+                      observe=observe),
+            memory_factory(spec["memory"])(),
+            traces,
+            fetch_policy=FetchPolicy(spec["fetch_policy"]),
+        )
+        cores = [processor]
+    else:
+        processor = CmpSystem(
+            spec["isa"], spec["cores"], traces,
+            contexts_per_core=spec["contexts"], memory=spec["memory"],
+            observe=observe,
+        )
+        cores = processor.cores
+    result = processor.run()
+    blob = json.dumps(
+        result.observability, sort_keys=True, separators=(",", ":")
+    )
+    return {
+        "observability_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "stall_breakdown": [core.observer.stall_breakdown() for core in cores],
+    }

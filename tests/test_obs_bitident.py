@@ -7,6 +7,11 @@ four representative runs, their pinned-version ``RunRequest``
 fingerprints, and the headline counters.  Any observability hook that
 perturbs a disabled run — an extra stat, a reordered dict key, a
 serialized ``None`` — fails here with the exact run that diverged.
+
+Its ``observed_runs`` section pins the other side: the
+``RunResult.observability`` hash and the stall breakdowns of observed
+runs, so a change to how the observer counts must report the same
+numbers.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
+from repro.analysis.goldens import OBSERVE_MODES, observed_point
 from repro.analysis.runner import (
     RESULT_FORMAT,
     RunRequest,
@@ -180,3 +186,32 @@ def test_golden_requests_cover_both_hierarchies_and_sampling():
     assert {r.isa for r in requests} == {"mmx", "mom"}
     assert any(r.sampling for r in requests)
     assert all(asdict(r)["scale"] == GOLDEN["scale"] for r in requests)
+
+
+# ----- observed pins: what the observer reports ------------------------------
+
+OBSERVED = GOLDEN["observed_runs"]
+
+
+def test_observed_pins_cover_both_hierarchies_policies_and_cmp():
+    specs = [entry["spec"] for entry in OBSERVED.values()]
+    assert {spec["memory"] for spec in specs} == {
+        "conventional", "decoupled", "perfect",
+    }
+    assert {spec["arch"] for spec in specs} == {"smt", "cmp"}
+    assert {spec.get("fetch_policy") for spec in specs} >= {
+        "rr", "icount", "balance",
+    }
+
+
+@pytest.mark.parametrize("mode", sorted(OBSERVE_MODES))
+@pytest.mark.parametrize("name", sorted(OBSERVED))
+def test_observed_run_matches_pinned_snapshot(name, mode):
+    entry = OBSERVED[name]
+    measured = observed_point(entry["spec"], OBSERVE_MODES[mode])
+    assert measured["stall_breakdown"] == entry[mode]["stall_breakdown"], (
+        f"{name} ({mode}): stall breakdown diverged from the pin"
+    )
+    assert measured["observability_sha256"] == (
+        entry[mode]["observability_sha256"]
+    ), f"{name} ({mode}): RunResult.observability diverged from the pin"
