@@ -146,8 +146,9 @@ class SMTConfig:
                 "backend must be 'object', 'flat' or 'auto', "
                 f"not {self.backend!r}"
             )
-        if self.observe not in (None, True, False, "metrics") and not hasattr(
-            self.observe, "on_fetch"
+        if self.observe not in (None, True, False, "metrics") and not (
+            hasattr(self.observe, "on_fetch")
+            and hasattr(self.observe, "tallies")
         ):
             raise ValueError(
                 "observe must be None, True, 'metrics', or a "

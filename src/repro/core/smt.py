@@ -597,9 +597,13 @@ class SMTProcessor:
             # on the observability layer when observation is requested.
             from repro.obs.events import resolve_observer
 
-            self.observer = resolve_observer(config.observe)
-            self.window.observer = self.observer
-            memory.attach_observer(self.observer)
+            observer = resolve_observer(config.observe)
+            if observer is not None:
+                # Sized once here; step() bumps the tallies by index.
+                observer.attach(config.n_threads)
+                self.observer = observer
+                self.window.observer = observer
+                memory.attach_observer(observer)
         self._pool_free = self._initial_pools()
         self.threads = [ThreadContext(i) for i in range(config.n_threads)]
         for slot, assignment in zip(
@@ -743,12 +747,25 @@ class SMTProcessor:
         fifos = window._fifos
         win_sanitizer = window.sanitizer
         observer = self.observer
+        if observer is not None:
+            # The observer counts through per-thread tallies bumped
+            # inline (repro.obs.events.TALLIES order); its per-instruction
+            # hooks only keep lifetime records, so they run only when it
+            # records events.
+            (
+                fetched_tally, dispatched_tally, issued_tally,
+                completed_tally, committed_tally,
+                blocked_tally, icache_tally, decode_full_tally,
+                no_slot_tally, queue_full_tally, window_full_tally,
+                pool_empty_tally,
+            ) = observer.tallies
+            obs_events = observer.events
         # One test per hook site instead of one per hook: the sanitizer
         # (window and queues, attached together) and the observer.
         hooked = win_sanitizer is not None or observer is not None
         track = self._track_inflight
         # Per-instruction bookkeeping of issue and fetch: the in-flight
-        # counters and the observer's events.
+        # counters and the observer's tallies.
         per_inst_hooks = track or observer is not None
         pools = self._pool_free
         scheduler = self.scheduler
@@ -781,7 +798,9 @@ class SMTProcessor:
                     entry.dependents = None
             if observer is not None:
                 for entry in entries:
-                    observer.on_complete(entry, now)
+                    completed_tally[entry.thread] += 1
+                    if obs_events:
+                        observer.on_complete(entry, now)
             completed = len(entries)
 
         # stage: commit — in-order retirement from the per-thread FIFOs.
@@ -811,7 +830,9 @@ class SMTProcessor:
                             )
                             win_sanitizer.on_window_retire(window, thread, head)
                         if observer is not None:
-                            observer.on_commit(thread, head, now)
+                            committed_tally[thread] += 1
+                            if obs_events:
+                                observer.on_commit(thread, head, now)
                     inst = head.inst
                     dst = inst.dst
                     if dst != NO_REG:
@@ -927,7 +948,9 @@ class SMTProcessor:
                         ctx.inflight_insts -= 1
                         ctx.inflight_ops -= inst.stream_length
                     if observer is not None:
-                        observer.on_issue(entry, now, done)
+                        issued_tally[entry.thread] += 1
+                        if obs_events:
+                            observer.on_issue(entry, now, done)
                 wake[done].append(entry)
             if taken:
                 queue.occupancy -= taken
@@ -960,12 +983,10 @@ class SMTProcessor:
                 queue = queue_of_op[inst.op]
                 if queue.occupancy >= queue.capacity or win_occ >= win_cap:
                     if observer is not None:
-                        observer.stall(
-                            "dispatch_queue_full"
-                            if queue.occupancy >= queue.capacity
-                            else "dispatch_window_full",
-                            thread,
-                        )
+                        if queue.occupancy >= queue.capacity:
+                            queue_full_tally[thread] += 1
+                        else:
+                            window_full_tally[thread] += 1
                     continue
                 dst = inst.dst
                 if dst != NO_REG:
@@ -975,7 +996,7 @@ class SMTProcessor:
                     free = pools[cls]
                     if free <= 0:
                         if observer is not None:
-                            observer.stall("dispatch_pool_empty", thread)
+                            pool_empty_tally[thread] += 1
                         continue
                     pools[cls] = free - 1
                 decode.popleft()
@@ -1017,7 +1038,9 @@ class SMTProcessor:
                     if queue.sanitizer is not None:
                         queue.sanitizer.check_queue(queue)
                     if observer is not None:
-                        observer.on_dispatch(thread, entry, now)
+                        dispatched_tally[thread] += 1
+                        if obs_events:
+                            observer.on_dispatch(thread, entry, now)
                 budget -= 1
                 if not budget:
                     break
@@ -1055,7 +1078,7 @@ class SMTProcessor:
                     and ctx.fetch_stall_until <= now
                     and len(ctx.decode) <= decode_room
                 ):
-                    observer.stall("fetch_no_slot", thread)
+                    no_slot_tally[thread] += 1
                 continue
             ctx = threads[thread]
             idx = ctx.fetch_idx
@@ -1067,17 +1090,17 @@ class SMTProcessor:
                 # mispredicted, so the thread keeps consuming fetch slots
                 # on instructions that will be squashed.
                 if observer is not None:
-                    observer.stall("fetch_blocked_branch", thread)
+                    blocked_tally[thread] += 1
                 groups += 1
                 continue
             decode = ctx.decode
             if ctx.fetch_stall_until > now:
                 if observer is not None:
-                    observer.stall("fetch_icache", thread)
+                    icache_tally[thread] += 1
                 continue
             if len(decode) > decode_room:
                 if observer is not None:
-                    observer.stall("fetch_decode_full", thread)
+                    decode_full_tally[thread] += 1
                 continue
             groups += 1
             instructions = trace.instructions
@@ -1089,7 +1112,7 @@ class SMTProcessor:
                 # and can livelock two threads against each other.
                 ctx.fetch_stall_until = ready
                 if observer is not None:
-                    observer.stall("fetch_icache", thread)
+                    icache_tally[thread] += 1
                 continue
             plan = ctx.fetch_plan
             if plan is None:
@@ -1116,12 +1139,14 @@ class SMTProcessor:
             ctx.fetch_idx = end
             if per_inst_hooks:
                 if observer is not None:
-                    last = end - 1
-                    for position in range(idx, end):
-                        observer.on_fetch(
-                            thread, instructions[position], now,
-                            mispredicted and position == last,
-                        )
+                    fetched_tally[thread] += end - idx
+                    if obs_events:
+                        last = end - 1
+                        for position in range(idx, end):
+                            observer.on_fetch(
+                                thread, instructions[position], now,
+                                mispredicted and position == last,
+                            )
                 if track:
                     took_vector = False
                     ops = 0

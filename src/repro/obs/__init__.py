@@ -20,6 +20,7 @@ See ``docs/OBSERVABILITY.md`` for the event schema and the
 from repro.obs.events import (
     STAGES,
     STALL_CAUSES,
+    TALLIES,
     InstRecord,
     ObservabilityError,
     PipelineObserver,
@@ -38,6 +39,7 @@ from repro.obs.trace import (
 __all__ = [
     "STAGES",
     "STALL_CAUSES",
+    "TALLIES",
     "Counter",
     "Histogram",
     "InstRecord",

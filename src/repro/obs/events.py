@@ -29,6 +29,9 @@ Event model
 * **Metrics** (:class:`repro.obs.metrics.MetricsRegistry`): hierarchical
   counters/histograms per component per thread, including the
   ``smt.stall`` stall-cause breakdown the experiment reports surface.
+  The core counts stage events and stalls into per-thread tallies
+  inline, memory accesses land in one dict, and every read folds both
+  into the registry (docs/OBSERVABILITY.md, "What observation costs").
 
 Both event lists are bounded (``max_records`` / ``max_events``); past
 the cap the metrics keep counting and the drop counts are reported, so
@@ -153,8 +156,30 @@ class InstRecord:
         return f"<InstRecord #{self.uid} t{self.thread} {stages}>"
 
 
+#: The per-thread tallies :class:`PipelineObserver` exposes as
+#: ``tallies``, in this order: the five stage counts, then the seven
+#: stall causes.  The core unpacks them by position.
+TALLIES = STAGES + STALL_CAUSES
+
+#: Distinct ``mem_access`` keys held before a fold empties the memory
+#: tally, so metrics mode stays constant-memory however many distinct
+#: latencies a run produces.
+MEM_TALLY_LIMIT = 4096
+
+
 class PipelineObserver:
     """Collects the event stream and metrics of one simulated core.
+
+    Counting goes through plain integer tallies rather than a call per
+    event.  The core increments ``tallies`` inline (one per-thread list
+    per entry of :data:`TALLIES`, sized by :meth:`attach`), and
+    :meth:`mem_access` adds into one dict keyed by the access.  Every
+    read — :attr:`registry`, :meth:`stall_breakdown`, :meth:`snapshot`
+    — first folds the tallies into the metrics registry and zeroes
+    them, so reading is idempotent and may happen at any cycle.  The
+    per-instruction hooks (``on_fetch`` ... ``on_commit``) maintain the
+    lifetime records only; the core calls them only when ``events`` is
+    set.
 
     Parameters
     ----------
@@ -176,7 +201,7 @@ class PipelineObserver:
         self.events = events
         self.max_records = max_records
         self.max_events = max_events
-        self.registry = MetricsRegistry()
+        self._registry = MetricsRegistry()
         self.records: list[InstRecord] = []
         self.mem_events: list[tuple] = []
         self.dropped_records = 0
@@ -189,23 +214,80 @@ class PipelineObserver:
         #: free them, so a reused ``id()`` can never mis-associate.
         self._by_entry: dict[int, InstRecord] = {}
         self._next_uid = 0
-        registry = self.registry
-        self._stall = {
-            cause: registry.counter("smt.stall", cause)
-            for cause in STALL_CAUSES
-        }
-        self._fetched = registry.counter("smt.fetch", "instructions")
-        self._dispatched = registry.counter("smt.dispatch", "instructions")
-        self._issued = registry.counter("smt.issue", "instructions")
-        self._completed = registry.counter("smt.complete", "instructions")
-        self._committed = registry.counter("smt.commit", "instructions")
+        #: Unfolded per-thread counts, one list per entry of TALLIES.
+        self.tallies = tuple([] for __ in TALLIES)
+        #: Unfolded memory accesses:
+        #: ``(component, kind, hit, thread, latency) -> n``.
+        self._mem_tally: dict[tuple, int] = {}
+        registry = self._registry
+        self._tally_counters = tuple(
+            registry.counter("smt." + stage, "instructions")
+            for stage in STAGES
+        ) + tuple(
+            registry.counter("smt.stall", cause) for cause in STALL_CAUSES
+        )
+        self._stall = dict(zip(STALL_CAUSES, self._tally_counters[5:]))
         self._squashed = registry.counter("smt.commit", "squashed")
         self._queue_wait = registry.histogram("smt.issue", "queue_wait")
         self._exec_latency = registry.histogram("smt.issue", "exec_latency")
         self._mem_counters: dict[tuple[str, str], Any] = {}
         self._mem_latency: dict[str, Any] = {}
 
-    # ----- pipeline stages (called by the SMT core) -------------------------
+    def attach(self, n_threads: int) -> None:
+        """Size the tallies for a core with ``n_threads`` contexts.
+
+        Counts already tallied are kept, so an observer may be attached
+        again (to a wider core, say) without losing anything.
+        """
+        for tally in self.tallies:
+            if len(tally) < n_threads:
+                tally.extend([0] * (n_threads - len(tally)))
+
+    # ----- folding ----------------------------------------------------------
+
+    def fold(self) -> None:
+        """Move every tallied count into the registry; zero the tallies.
+
+        The registry ends up exactly as if each event had been counted
+        by its own call: counters only ever gain the counts of threads
+        that saw the event, and a fold with nothing tallied changes
+        nothing.
+        """
+        issued = self.tallies[2]
+        queue_wait = self._queue_wait
+        for thread, n in enumerate(issued):
+            if n:
+                queue_wait.observe(0, thread, 0)  # keep thread row alive
+        for tally, counter in zip(self.tallies, self._tally_counters):
+            for thread, n in enumerate(tally):
+                if n:
+                    counter.add(thread, n)
+                    tally[thread] = 0
+        self._fold_mem()
+
+    def _fold_mem(self) -> None:
+        mem_tally = self._mem_tally
+        if not mem_tally:
+            return
+        latency = self._mem_latency
+        for (component, kind, hit, thread, cycles), n in mem_tally.items():
+            name = kind if hit is None else kind + ("_hit" if hit else "_miss")
+            self._mem_counter(component, name).add(thread, n)
+            histogram = latency.get(component)
+            if histogram is None:
+                histogram = latency[component] = self._registry.histogram(
+                    f"memory.{component}", "latency"
+                )
+            histogram.observe(cycles, thread, n)
+        mem_tally.clear()
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The metrics registry, with every tallied count folded in."""
+        self.fold()
+        return self._registry
+
+    # ----- pipeline stages (called by the SMT core when ``events``) ---------
 
     def _pending_of(self, thread: int) -> deque:
         pending = self._pending
@@ -217,9 +299,6 @@ class PipelineObserver:
         self, thread: int, inst, now: int, mispredicted: bool
     ) -> None:
         """One instruction entered a decode buffer this cycle."""
-        self._fetched.add(thread)
-        if not self.events:
-            return
         if len(self.records) >= self.max_records:
             self.dropped_records += 1
             self._pending_of(thread).append(None)
@@ -244,22 +323,14 @@ class PipelineObserver:
 
     def on_dispatch(self, thread: int, entry, now: int) -> None:
         """The decode head renamed and entered window + issue queue."""
-        self._dispatched.add(thread)
-        if not self.events:
-            return
         pending = self._pending_of(thread)
         record = pending.popleft() if pending else None
         if record is not None:
             record.dispatch = now
             self._by_entry[id(entry)] = record
 
-
     def on_issue(self, entry, now: int, done: int) -> None:
         """The entry left its issue queue; results arrive at ``done``."""
-        self._issued.add(entry.thread)
-        self._queue_wait.observe(0, entry.thread, 0)  # keep thread row alive
-        if not self.events:
-            return
         record = self._by_entry.get(id(entry))
         if record is None or record.squash is not None:
             return
@@ -270,9 +341,6 @@ class PipelineObserver:
 
     def on_complete(self, entry, now: int) -> None:
         """The entry's result arrived and woke its dependents."""
-        self._completed.add(entry.thread)
-        if not self.events:
-            return
         record = self._by_entry.get(id(entry))
         if record is None or record.squash is not None:
             return
@@ -280,9 +348,6 @@ class PipelineObserver:
 
     def on_commit(self, thread: int, entry, now: int) -> None:
         """The entry retired from the graduation window."""
-        self._committed.add(thread)
-        if not self.events:
-            return
         record = self._by_entry.pop(id(entry), None)
         if record is None or record.squash is not None:
             return
@@ -298,17 +363,13 @@ class PipelineObserver:
             if record is not None:
                 record.squash = now
 
-    def stall(self, cause: str, thread: int, n: int = 1) -> None:
-        """Attribute a stalled fetch/dispatch opportunity to a cause."""
-        self._stall[cause].add(thread, n)
-
     # ----- memory events (called by the hierarchies) ------------------------
 
     def _mem_counter(self, component: str, kind: str):
         key = (component, kind)
         counter = self._mem_counters.get(key)
         if counter is None:
-            counter = self._mem_counters[key] = self.registry.counter(
+            counter = self._mem_counters[key] = self._registry.counter(
                 f"memory.{component}", kind
             )
         return counter
@@ -329,14 +390,15 @@ class PipelineObserver:
         bypass port does not see the L2 tag outcome); the count is then
         recorded under the bare ``kind``.
         """
-        name = kind if hit is None else kind + ("_hit" if hit else "_miss")
-        self._mem_counter(component, name).add(thread, n)
-        histogram = self._mem_latency.get(component)
-        if histogram is None:
-            histogram = self._mem_latency[component] = self.registry.histogram(
-                f"memory.{component}", "latency"
-            )
-        histogram.observe(latency, thread, n)
+        key = (component, kind, hit, thread, latency)
+        mem_tally = self._mem_tally
+        count = mem_tally.get(key)
+        if count is None:
+            if len(mem_tally) >= MEM_TALLY_LIMIT:
+                self._fold_mem()
+            mem_tally[key] = n
+        else:
+            mem_tally[key] = count + n
         if self.events:
             if len(self.mem_events) < self.max_events:
                 self.mem_events.append(
@@ -363,6 +425,7 @@ class PipelineObserver:
 
     def stall_breakdown(self) -> dict:
         """Per-thread stall-cause counts: ``{cause: [per-thread], ...}``."""
+        self.fold()
         breakdown = {}
         for cause in STALL_CAUSES:
             counter = self._stall[cause]

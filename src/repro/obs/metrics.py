@@ -15,6 +15,8 @@ The registry is only ever allocated when observability is requested
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 
 class Counter:
     """A monotone event counter with per-thread resolution.
@@ -75,12 +77,9 @@ class Histogram:
         self.per_thread: list[int] = []
 
     def observe(self, value: int, thread: int = -1, n: int = 1) -> None:
-        bucket = 0
-        for bound in self.bounds:
-            if value <= bound:
-                break
-            bucket += 1
-        self.buckets[bucket] += n
+        # The first bucket whose upper bound is >= value; past the last
+        # bound, the open-ended bucket.
+        self.buckets[bisect_left(self.bounds, value)] += n
         self.count += n
         self.sum += value * n
         if self.min is None or value < self.min:

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SMTConfig, SMTProcessor
-from repro.memory import PerfectMemory
+from repro.memory import ConventionalHierarchy, PerfectMemory
 from repro.obs import (
+    STAGES,
+    Histogram,
     InstRecord,
     ObservabilityError,
     PipelineObserver,
@@ -186,3 +188,80 @@ def test_same_cycle_complete_commit_is_legal():
     records = clean_records()
     records[0].commit = records[0].complete
     assert validate_records(records) == 4
+
+
+# ----- tallies: inline counts agree with the records and fold exactly ------
+
+
+def stage_rows(observer, stage, n_threads):
+    """Per-thread count of ``smt.<stage>/instructions``, zero-padded."""
+    row = observer.registry.counter(f"smt.{stage}", "instructions").per_thread
+    return [row[t] if t < len(row) else 0 for t in range(n_threads)]
+
+
+class TestTallies:
+    @given(kind_lists, st.integers(0, 2**16), st.integers(1, 2))
+    @settings(max_examples=15, deadline=None)
+    def test_stage_tallies_count_the_records(self, kinds, seed, n_threads):
+        trace = build_random_trace(kinds, seed)
+        observer, __ = run_observed_trace(trace, n_threads=n_threads)
+        records = observer.records
+        assert observer.dropped_records == 0
+        for stage in STAGES:
+            expected = [0] * n_threads
+            for record in records:
+                if getattr(record, stage) is not None:
+                    expected[record.thread] += 1
+            assert stage_rows(observer, stage, n_threads) == expected, stage
+        # Every record was fetched, so the fetch row counts them all.
+        assert sum(stage_rows(observer, "fetch", n_threads)) == len(records)
+
+    @given(
+        kind_lists,
+        st.integers(0, 2**16),
+        st.sampled_from([True, "metrics"]),
+        st.lists(st.integers(0, 400), min_size=1, max_size=4),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_reads_mid_run_do_not_change_the_snapshot(
+        self, kinds, seed, observe, read_after
+    ):
+        trace = build_random_trace(kinds, seed)
+
+        def processor():
+            return SMTProcessor(
+                SMTConfig(isa=trace.isa, n_threads=2, observe=observe),
+                ConventionalHierarchy(),
+                [trace] * 2,
+                completions_target=2,
+                warmup_fraction=0.0,
+                max_cycles=2_000_000,
+            )
+
+        reference = processor().run().observability
+        probed = processor()
+        scheduler = probed.scheduler
+        for steps in sorted(read_after):
+            # The run() loop, idle skips included, up to the read point.
+            while probed.now < steps and not scheduler.done:
+                if not probed.step() and not scheduler.done:
+                    target = probed._skip_target()
+                    if target > probed.now:
+                        probed.now = target
+            probed.observer.stall_breakdown()
+            probed.observer.registry.to_dict()
+        assert probed.run().observability == reference
+
+
+@given(st.integers(-(2**40), 2**40))
+def test_histogram_bisect_picks_the_linear_scan_bucket(value):
+    histogram = Histogram()
+    histogram.observe(value)
+    bucket = 0
+    for bound in histogram.bounds:
+        if value <= bound:
+            break
+        bucket += 1
+    expected = [0] * len(histogram.buckets)
+    expected[bucket] = 1
+    assert histogram.buckets == expected
