@@ -8,6 +8,9 @@ deterministic: the same tree on the same Python version always prints
 the same table, unlike a wall-clock profile.  Callees (the memory
 system, the branch predictor, the vector unit) are not counted — the
 table measures the per-instruction work of the fused body itself.
+The one exception is the ``obs`` column: bytecodes executed in frames
+of :mod:`repro.obs` code (the observer's hooks, its metrics registry),
+per committed instruction — what observation costs on top of the body.
 
 Stage boundaries are the ``# stage: <name>`` marker comments in
 ``step()``'s source (``complete``, ``commit``, ``issue``, ``dispatch``,
@@ -15,10 +18,12 @@ Stage boundaries are the ``# stage: <name>`` marker comments in
 before the first marker (hoisting the per-cycle locals) are reported as
 ``entry``; the cycle bookkeeping after the fetch loop counts as fetch.
 
-The points are mmx-1T, mom-8T and mmx-4T at scale 2e-5, seed 0.  Each
-runs ``SMTProcessor(...).run()`` on ``PerfectMemory`` with prebuilt
-workload traces (the ``pipeline-ideal`` benchmark's setup), so nothing
-outside the core pipeline is measured.  ``committed`` is the
+The points are mmx-1T, mom-8T and mmx-4T at scale 2e-5, seed 0, plus
+mom-8T again with ``observe="metrics"`` (the observer mode the serving
+scenario and the stall breakdown run).  Each runs
+``SMTProcessor(...).run()`` on ``PerfectMemory`` with prebuilt workload
+traces (the ``pipeline-ideal`` benchmark's setup), so nothing outside
+the core pipeline is measured.  ``committed`` is the
 processor's total (stream-weighted) commit count, warmup included, so
 it matches the cycles the profile covers.
 
@@ -30,19 +35,28 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import platform
 import re
 import sys
 
 from repro.core.params import SMTConfig
 from repro.core.smt import SMTProcessor
+from repro.obs import events as obs_events
 from repro.memory.perfect import PerfectMemory
 from repro.workloads.mediabench import build_workload_traces
 
 STAGES = ("complete", "commit", "issue", "dispatch", "fetch")
 COLUMNS = ("entry",) + STAGES
 STAGE_MARKER = re.compile(r"#\s*stage:\s*(\w+)")
-POINTS = (("mmx", 1), ("mom", 8), ("mmx", 4))
+#: ``(isa, threads, observe)``: the three unobserved points, then mom-8T
+#: under the metrics-only observer.
+POINTS = (
+    ("mmx", 1, None), ("mom", 8, None), ("mmx", 4, None),
+    ("mom", 8, "metrics"),
+)
+#: Frames of code in this directory count toward the ``obs`` column.
+OBS_DIR = os.path.dirname(os.path.abspath(obs_events.__file__)) + os.sep
 SCALE = 2e-5
 SEED = 0
 
@@ -73,7 +87,8 @@ def stage_of_lines(function) -> dict[int, str]:
 
 
 class OpcodeCounter:
-    """Counts opcode events per source line in frames of one code object.
+    """Counts opcode events per source line in frames of one code object,
+    and in total in frames of :mod:`repro.obs` code (``obs``).
 
     Restores the trace function it replaced (a coverage tracer, say) on
     exit.  It does not chain to it: such a tracer may reinstall itself
@@ -85,6 +100,7 @@ class OpcodeCounter:
     def __init__(self, code):
         self.code = code
         self.by_line: dict[int, int] = {}
+        self.obs = 0
         self.previous = None
 
     def __enter__(self) -> "OpcodeCounter":
@@ -96,11 +112,15 @@ class OpcodeCounter:
         sys.settrace(self.previous)
 
     def _on_call(self, frame, event, arg):
-        if frame.f_code is not self.code:
-            return None
-        frame.f_trace_lines = False
-        frame.f_trace_opcodes = True
-        return self._on_opcode
+        if frame.f_code is self.code:
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+            return self._on_opcode
+        if frame.f_code.co_filename.startswith(OBS_DIR):
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+            return self._on_obs_opcode
+        return None
 
     def _on_opcode(self, frame, event, arg):
         if event == "opcode":
@@ -108,11 +128,20 @@ class OpcodeCounter:
             self.by_line[line] = self.by_line.get(line, 0) + 1
         return self._on_opcode
 
+    def _on_obs_opcode(self, frame, event, arg):
+        if event == "opcode":
+            self.obs += 1
+        return self._on_obs_opcode
 
-def profile_point(isa: str, n_threads: int, scale: float, seed: int) -> dict:
+
+def profile_point(
+    isa: str, n_threads: int, scale: float, seed: int, observe=None
+) -> dict:
     traces = build_workload_traces(isa, scale=scale, seed=seed)
     processor = SMTProcessor(
-        SMTConfig(isa=isa, n_threads=n_threads), PerfectMemory(), traces
+        SMTConfig(isa=isa, n_threads=n_threads, observe=observe),
+        PerfectMemory(),
+        traces,
     )
     step = type(processor).step
     if step is not SMTProcessor.step:
@@ -128,7 +157,7 @@ def profile_point(isa: str, n_threads: int, scale: float, seed: int) -> dict:
         totals[stages.get(line, "entry")] += count
     committed = processor.committed
     return {
-        "point": f"{isa}-{n_threads}T",
+        "point": f"{isa}-{n_threads}T" + (f" {observe}" if observe else ""),
         "cycles": processor.now,
         "committed": committed,
         "bytecodes": totals,
@@ -136,17 +165,19 @@ def profile_point(isa: str, n_threads: int, scale: float, seed: int) -> dict:
             name: count / committed for name, count in totals.items()
         },
         "per_inst_total": sum(totals.values()) / committed,
+        "per_inst_obs": counter.obs / committed,
     }
 
 
 def render(records: list[dict]) -> str:
-    header = ["point", "committed", "cycles", *COLUMNS, "total"]
+    header = ["point", "committed", "cycles", *COLUMNS, "total", "obs"]
     rows = [header, ["---"] * len(header)]
     for record in records:
         rows.append(
             [record["point"], str(record["committed"]), str(record["cycles"])]
             + [f"{record['per_inst'][name]:.1f}" for name in COLUMNS]
-            + [f"{record['per_inst_total']:.1f}"]
+            + [f"{record['per_inst_total']:.1f}",
+               f"{record['per_inst_obs']:.1f}"]
         )
     return "\n".join("| " + " | ".join(row) + " |" for row in rows)
 
@@ -157,8 +188,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     records = [
-        profile_point(isa, n_threads, SCALE, SEED)
-        for isa, n_threads in POINTS
+        profile_point(isa, n_threads, SCALE, SEED, observe)
+        for isa, n_threads, observe in POINTS
     ]
     title = (
         f"step() bytecodes per committed instruction — PerfectMemory, "

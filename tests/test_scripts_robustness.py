@@ -509,20 +509,29 @@ class TestProfileStep:
         assert all(first["bytecodes"][stage] > 0
                    for stage in profile_step.STAGES)
         assert first["committed"] > 0
+        assert first["per_inst_obs"] == 0
+
+    def test_obs_column_counts_observer_bytecodes(self):
+        observed = profile_step.profile_point("mom", 2, 1e-5, 0, "metrics")
+        plain = profile_step.profile_point("mom", 2, 1e-5, 0)
+        assert observed["per_inst_obs"] > 0
+        assert observed["point"] == "mom-2T metrics"
+        assert observed["committed"] == plain["committed"]
 
     def test_table_has_a_row_per_point(self):
         record = {
             "point": "mom-2T", "committed": 40, "cycles": 30,
             "per_inst": dict.fromkeys(profile_step.COLUMNS, 2.0),
-            "per_inst_total": 12.0,
+            "per_inst_total": 12.0, "per_inst_obs": 0.5,
         }
         lines = profile_step.render([record, record]).splitlines()
         assert lines[0] == (
             "| point | committed | cycles | entry | complete | commit | "
-            "issue | dispatch | fetch | total |"
+            "issue | dispatch | fetch | total | obs |"
         )
         assert lines[2:] == [
-            "| mom-2T | 40 | 30 | 2.0 | 2.0 | 2.0 | 2.0 | 2.0 | 2.0 | 12.0 |"
+            "| mom-2T | 40 | 30 | 2.0 | 2.0 | 2.0 | 2.0 | 2.0 | 2.0 | 12.0 "
+            "| 0.5 |"
         ] * 2
 
     def test_restores_the_previous_trace_function(self):
