@@ -253,11 +253,12 @@ class PipelineObserver:
         that saw the event, and a fold with nothing tallied changes
         nothing.
         """
-        issued = self.tallies[2]
+        # Every issuing thread gets a queue_wait row, even in metrics
+        # mode, where no wait is observed; min and max stay untouched.
         queue_wait = self._queue_wait
-        for thread, n in enumerate(issued):
+        for thread, n in enumerate(self.tallies[2]):
             if n:
-                queue_wait.observe(0, thread, 0)  # keep thread row alive
+                queue_wait.touch(thread)
         for tally, counter in zip(self.tallies, self._tally_counters):
             for thread, n in enumerate(tally):
                 if n:

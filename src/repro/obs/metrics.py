@@ -92,6 +92,12 @@ class Histogram:
                 per_thread.extend([0] * (thread + 1 - len(per_thread)))
             per_thread[thread] += n
 
+    def touch(self, thread: int) -> None:
+        """Give ``thread`` a per-thread row without observing a value."""
+        per_thread = self.per_thread
+        if thread >= len(per_thread):
+            per_thread.extend([0] * (thread + 1 - len(per_thread)))
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0

@@ -196,6 +196,38 @@ def test_histogram_buckets_and_stats():
     assert payload["per_thread"] == [6]
 
 
+def test_histogram_touch_adds_a_row_without_a_value():
+    histogram = Histogram()
+    histogram.touch(2)
+    assert histogram.per_thread == [0, 0, 0]
+    assert histogram.count == 0
+    assert histogram.min is None and histogram.max is None
+    histogram.observe(5, thread=0)
+    histogram.touch(1)
+    assert histogram.per_thread == [1, 0, 0]
+    assert histogram.min == 5 and histogram.max == 5
+
+
+@pytest.mark.parametrize("observe", [True, "metrics"])
+def test_queue_wait_min_and_max_come_from_observed_waits(observe):
+    processor, result = run_observed("mom", 2, observe=observe)
+    queue_wait = result.observability["metrics"]["smt.issue"]["queue_wait"]
+    # Every issuing thread keeps its row in both modes.
+    assert len(queue_wait["per_thread"]) == 2
+    if observe == "metrics":
+        assert queue_wait["count"] == 0
+        assert queue_wait["min"] is None and queue_wait["max"] is None
+        return
+    waits = [
+        record.issue - record.dispatch
+        for record in processor.observer.records
+        if record.issue is not None
+    ]
+    assert queue_wait["count"] == len(waits)
+    assert queue_wait["min"] == min(waits) >= 1
+    assert queue_wait["max"] == max(waits)
+
+
 def test_registry_caches_instruments_and_serializes():
     registry = MetricsRegistry()
     counter = registry.counter("smt.fetch", "instructions")
