@@ -226,7 +226,9 @@ class PipelineObserver:
         ) + tuple(
             registry.counter("smt.stall", cause) for cause in STALL_CAUSES
         )
-        self._stall = dict(zip(STALL_CAUSES, self._tally_counters[5:]))
+        self._stall = dict(
+            zip(STALL_CAUSES, self._tally_counters[len(STAGES):])
+        )
         self._squashed = registry.counter("smt.commit", "squashed")
         self._queue_wait = registry.histogram("smt.issue", "queue_wait")
         self._exec_latency = registry.histogram("smt.issue", "exec_latency")
@@ -256,7 +258,7 @@ class PipelineObserver:
         # Every issuing thread gets a queue_wait row, even in metrics
         # mode, where no wait is observed; min and max stay untouched.
         queue_wait = self._queue_wait
-        for thread, n in enumerate(self.tallies[2]):
+        for thread, n in enumerate(self.tallies[TALLIES.index("issue")]):
             if n:
                 queue_wait.touch(thread)
         for tally, counter in zip(self.tallies, self._tally_counters):

@@ -10,6 +10,7 @@ import pytest
 from repro.core import SMTConfig, SMTProcessor
 from repro.core.rob import GraduationWindow
 from repro.memory import ConventionalHierarchy, DecoupledHierarchy
+from repro.obs import events as obs_events
 from repro.obs import (
     Counter,
     Histogram,
@@ -226,6 +227,23 @@ def test_queue_wait_min_and_max_come_from_observed_waits(observe):
     assert queue_wait["count"] == len(waits)
     assert queue_wait["min"] == min(waits) >= 1
     assert queue_wait["max"] == max(waits)
+
+
+def test_memory_tally_stays_bounded_and_folds_exactly(monkeypatch):
+    monkeypatch.setattr(obs_events, "MEM_TALLY_LIMIT", 8)
+    observer = PipelineObserver(events=False)
+    for latency in range(40):
+        observer.mem_access(
+            "l1", latency % 3, "load", latency % 2 == 0, 0, latency, 2
+        )
+        assert len(observer._mem_tally) <= 8
+    l1 = observer.registry.to_dict()["memory.l1"]
+    assert l1["load_hit"]["total"] == l1["load_miss"]["total"] == 40
+    assert l1["load_hit"]["per_thread"] == [14, 12, 14]
+    histogram = l1["latency"]
+    assert histogram["count"] == 80
+    assert histogram["sum"] == 2 * sum(range(40))
+    assert (histogram["min"], histogram["max"]) == (0, 39)
 
 
 def test_registry_caches_instruments_and_serializes():
