@@ -40,9 +40,9 @@ import platform
 import re
 import sys
 
+import repro.obs
 from repro.core.params import SMTConfig
 from repro.core.smt import SMTProcessor
-from repro.obs import events as obs_events
 from repro.memory.perfect import PerfectMemory
 from repro.workloads.mediabench import build_workload_traces
 
@@ -56,7 +56,7 @@ POINTS = (
     ("mom", 8, "metrics"),
 )
 #: Frames of code in this directory count toward the ``obs`` column.
-OBS_DIR = os.path.dirname(os.path.abspath(obs_events.__file__)) + os.sep
+OBS_DIR = os.path.dirname(os.path.abspath(repro.obs.__file__)) + os.sep
 SCALE = 2e-5
 SEED = 0
 
@@ -113,14 +113,14 @@ class OpcodeCounter:
 
     def _on_call(self, frame, event, arg):
         if frame.f_code is self.code:
-            frame.f_trace_lines = False
-            frame.f_trace_opcodes = True
-            return self._on_opcode
-        if frame.f_code.co_filename.startswith(OBS_DIR):
-            frame.f_trace_lines = False
-            frame.f_trace_opcodes = True
-            return self._on_obs_opcode
-        return None
+            tracer = self._on_opcode
+        elif frame.f_code.co_filename.startswith(OBS_DIR):
+            tracer = self._on_obs_opcode
+        else:
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return tracer
 
     def _on_opcode(self, frame, event, arg):
         if event == "opcode":

@@ -233,7 +233,6 @@ class PipelineObserver:
         self._queue_wait = registry.histogram("smt.issue", "queue_wait")
         self._exec_latency = registry.histogram("smt.issue", "exec_latency")
         self._mem_counters: dict[tuple[str, str], Any] = {}
-        self._mem_latency: dict[str, Any] = {}
 
     def attach(self, n_threads: int) -> None:
         """Size the tallies for a core with ``n_threads`` contexts.
@@ -272,16 +271,13 @@ class PipelineObserver:
         mem_tally = self._mem_tally
         if not mem_tally:
             return
-        latency = self._mem_latency
+        registry = self._registry
         for (component, kind, hit, thread, cycles), n in mem_tally.items():
             name = kind if hit is None else kind + ("_hit" if hit else "_miss")
             self._mem_counter(component, name).add(thread, n)
-            histogram = latency.get(component)
-            if histogram is None:
-                histogram = latency[component] = self._registry.histogram(
-                    f"memory.{component}", "latency"
-                )
-            histogram.observe(cycles, thread, n)
+            registry.histogram(f"memory.{component}", "latency").observe(
+                cycles, thread, n
+            )
         mem_tally.clear()
 
     @property
